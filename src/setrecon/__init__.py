@@ -63,7 +63,6 @@ from .protocol import (
     make_loopback,
     psr_reconcile,
     reconcile,
-    respond,
     round_count,
 )
 from .sketch import (

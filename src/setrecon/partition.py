@@ -1,18 +1,21 @@
 """Recursive weighted partitioning of the hashed key space [0, 1).
 
-Elements are hashed to 64-bit keys and the unit interval is split into c
-weighted subintervals, recursively.  All interval arithmetic is exact
-(fractions), so membership is unambiguous: every key belongs to exactly
-one child at every depth.  A partition is identified by its path word,
-the sequence of child indices from the root.
+Elements are hashed to 64-bit integer keys k, the points k / 2^64, and the
+unit interval is split into c weighted subintervals, recursively.  Placement
+is exact integer arithmetic, so membership is unambiguous: every key belongs
+to exactly one child at every depth.  A partition is identified by its path
+word, the sequence of child indices from the root.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 
 _KEY_BITS = 64
 _KEY_SPACE = 1 << _KEY_BITS
@@ -52,6 +55,13 @@ class PartitionSchedule:
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(p) for p in self.probs)
 
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """Common denominator D plus integer numerators and prefix sums."""
+        denom = math.lcm(*(p.denominator for p in self.probs))
+        nums = tuple(int(p * denom) for p in self.probs)
+        return denom, nums, (0, *accumulate(nums))
+
 
 def fair_probs(c: int) -> PartitionSchedule:
     """Equal-probability schedule p_j = 1/c."""
@@ -79,10 +89,10 @@ def schedule_from_strings(items) -> PartitionSchedule:
     return PartitionSchedule(probs)
 
 
-def key_of(element: int, seed: int) -> Fraction:
-    """Deterministic 64-bit hash of (element, seed) scaled into [0, 1)."""
+def key_of(element: int, seed: int) -> int:
+    """Deterministic 64-bit hash of (element, seed), in [0, 2^64)."""
     digest = hashlib.blake2b(b"%d:%d" % (element, seed), digest_size=8).digest()
-    return Fraction(int.from_bytes(digest, "little"), _KEY_SPACE)
+    return int.from_bytes(digest, "little")
 
 
 @dataclass(frozen=True)
@@ -141,34 +151,21 @@ def interval_for_path(schedule: PartitionSchedule, path) -> PartitionInterval:
     return node
 
 
-def _scaled_schedule(schedule: PartitionSchedule) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Common denominator D plus integer numerators and prefix sums."""
-    denom = 1
-    for p in schedule.probs:
-        denom = denom * p.denominator // math.gcd(denom, p.denominator)
-    nums = tuple(int(p * denom) for p in schedule.probs)
-    cum = [0]
-    for n in nums:
-        cum.append(cum[-1] + n)
-    return denom, nums, tuple(cum)
+def word_of_key(schedule: PartitionSchedule, key: int, depth: int) -> tuple[int, ...]:
+    """First `depth` child indices of the path of the point key / 2^64.
 
-
-def word_of_key(schedule: PartitionSchedule, key: Fraction, depth: int) -> tuple[int, ...]:
-    """First `depth` child indices of the key's root-to-leaf path.
-
-    Exact integer arithmetic: the key r = num/den is located against the
-    scaled child boundaries, then rescaled to the child's local
+    Exact integer arithmetic: the point num/den is located against the
+    child boundaries scaled by D, then rescaled to the child's local
     coordinates, so no boundary leakage can occur at any depth.
     """
-    denom, nums, cum = _scaled_schedule(schedule)
-    num, den = key.numerator, key.denominator
+    denom, nums, cum = schedule.scaled
+    num, den = key, _KEY_SPACE
     word = []
     for _ in range(depth):
         t = num * denom
-        for j in range(schedule.c):
-            if t < cum[j + 1] * den:
-                word.append(j)
-                num = t - cum[j] * den
-                den = den * nums[j]
-                break
+        # cum holds integers, so cum[j] <= t/den exactly when cum[j] <= t // den
+        j = bisect_right(cum, t // den) - 1
+        word.append(j)
+        num = t - cum[j] * den
+        den *= nums[j]
     return tuple(word)

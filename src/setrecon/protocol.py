@@ -90,23 +90,20 @@ class ReconcileResult:
 
 class HashPlacement:
     """Default placement: elements fall into children according to their
-    hashed key and the schedule's subinterval widths."""
+    hashed key and the schedule's subinterval widths.
 
-    _LOOKAHEAD = 8  # words are computed a few levels ahead and cached
+    A placement's `word(element, depth)` returns the element's path word to
+    at least `depth` levels; its first `depth` entries name the element's
+    partition at that depth."""
+
+    _LOOKAHEAD = 8  # words reach this many levels past the depth asked for
 
     def __init__(self, schedule: PartitionSchedule, seed: int):
         self.schedule = schedule
         self.seed = seed
-        self._words: dict[int, tuple[int, ...]] = {}
 
     def word(self, element: int, depth: int) -> tuple[int, ...]:
-        w = self._words.get(element)
-        if w is None or len(w) < depth:
-            w = word_of_key(
-                self.schedule, key_of(element, self.seed), depth + self._LOOKAHEAD
-            )
-            self._words[element] = w
-        return w[:depth]
+        return word_of_key(self.schedule, key_of(element, self.seed), depth + self._LOOKAHEAD)
 
 
 class TablePlacement:
@@ -131,35 +128,56 @@ def default_placement(config: ProtocolConfig) -> HashPlacement:
     return HashPlacement(config.schedule, config.hash_seed)
 
 
-class _SubsetCache:
-    """Per-path subsets of one party's element list, filtered incrementally."""
+class PartitionIndex:
+    """One party's elements along the partition tree, filled lazily.
 
-    def __init__(self, elements, placement):
-        self._cache = {(): tuple(elements)}
-        self._placement = placement
+    Each element's path word is kept, and asked of the placement again only
+    when a split goes deeper than it reaches.  Splitting a node places all
+    its members into the c children in one pass.  Each node's sketch is
+    made on first use and kept: divided out of the parent when the c-1
+    siblings already have theirs, built from the members otherwise."""
 
-    def members(self, path: tuple[int, ...]) -> tuple[int, ...]:
-        got = self._cache.get(path)
-        if got is None:
-            parent = self.members(path[:-1])
-            depth = len(path)
-            got = tuple(
-                e for e in parent if self._placement.word(e, depth) == path
-            )
-            self._cache[path] = got
-        return got
+    def __init__(self, elements, config: ProtocolConfig, placement=None):
+        self._placement = placement or default_placement(config)
+        self._field = config.field_config
+        self._c = config.schedule.c
+        self._members: dict[tuple[int, ...], list[int]] = {(): list(elements)}
+        self._words: dict[int, tuple[int, ...]] = {}
+        self._sketches: dict[tuple[int, ...], sk.SRSketch] = {}
 
+    def members(self, path: tuple[int, ...]) -> list[int]:
+        if path not in self._members:
+            self._split(path[:-1])
+            if path not in self._members:
+                raise ProtocolError(f"no partition at path {path}")
+        return self._members[path]
 
-def respond(request, set_b, config: ProtocolConfig, placement=None) -> sk.SRSketch:
-    """B's reply: the sketch of its elements inside the requested partition.
+    def _split(self, parent: tuple[int, ...]) -> None:
+        depth = len(parent) + 1
+        kids: list[list[int]] = [[] for _ in range(self._c)]
+        words, placement = self._words, self._placement
+        for e in self.members(parent):
+            w = words.get(e)
+            if w is None or len(w) < depth:
+                w = words[e] = placement.word(e, depth)
+            kids[w[depth - 1]].append(e)
+        for j, kid in enumerate(kids):
+            self._members[parent + (j,)] = kid
 
-    The request is a path word, or a PartitionInterval carrying one.
-    """
-    path = tuple(getattr(request, "path", request))
-    placement = placement or default_placement(config)
-    depth = len(path)
-    members = [e for e in set_b if placement.word(e, depth) == path]
-    return sk.sketch_of(config.field_config, members)
+    def sketch(self, path: tuple[int, ...]) -> sk.SRSketch:
+        z = self._sketches.get(path)
+        if z is None:
+            members = self.members(path)  # also refuses a path outside the tree
+            parent = path[:-1]
+            siblings = [parent + (j,) for j in range(self._c) if path and j != path[-1]]
+            if path and all(p in self._sketches for p in (parent, *siblings)):
+                z = self._sketches[parent]
+                for p in siblings:
+                    z = sk.subtract(z, self._sketches[p])
+            else:
+                z = sk.sketch_of(self._field, members)
+            self._sketches[path] = z
+        return z
 
 
 @dataclass(frozen=True)
@@ -203,18 +221,19 @@ def round_count(trace: ProtocolTrace) -> int:
 
 
 class Responder:
-    """B-side request handler serving serialized partition sketches."""
+    """B-side request handler serving serialized partition sketches.  B's
+    set is fixed, so each path's sketch is made once and kept for later
+    clients: one sketch per distinct path requested."""
 
     def __init__(self, set_b, config: ProtocolConfig, placement=None):
         self.config = config
         self._fingerprint = config.fingerprint()
-        self._cache = _SubsetCache(set_b, placement or default_placement(config))
-        self._field = config.field_config
+        self._index = PartitionIndex(set_b, config, placement)
 
     def reply(self, fingerprint: str, path: tuple[int, ...]) -> bytes:
         if fingerprint != self._fingerprint:
             raise ProtocolError("request fingerprint does not match responder config")
-        return sk.to_bytes(sk.sketch_of(self._field, self._cache.members(path)))
+        return sk.to_bytes(self._index.sketch(path))
 
 
 class LoopbackTransport:
@@ -247,7 +266,7 @@ class _Run:
         self.transport = transport
         self.fingerprint = config.fingerprint()
         self.field = config.field_config
-        self.cache = _SubsetCache(set_a, placement or default_placement(config))
+        self.index = PartitionIndex(set_a, config, placement)
         self.a_only: set[int] = set()
         self.b_only: set[int] = set()
         self.tx = 0
@@ -257,7 +276,11 @@ class _Run:
     def fetch(self, path: tuple[int, ...]) -> sk.SRSketch:
         if len(path) > _MAX_DEPTH:
             raise ProtocolError("partition tree too deep; placement not separating")
-        zb = sk.from_bytes(self.transport.request(self.fingerprint, path))
+        blob = self.transport.request(self.fingerprint, path)
+        try:
+            zb = sk.from_bytes(blob)
+        except ValueError as exc:
+            raise ProtocolError(f"malformed reply for path {path}: {exc}") from exc
         if zb.config != self.field:
             raise ProtocolError("reply sketch configuration mismatch")
         self.tx += 1
@@ -265,8 +288,7 @@ class _Run:
         return zb
 
     def diff_sketch(self, path: tuple[int, ...]) -> sk.SRSketch:
-        za = sk.sketch_of(self.field, self.cache.members(path))
-        return sk.subtract(za, self.fetch(path))
+        return sk.subtract(self.index.sketch(path), self.fetch(path))
 
     def recover(self, z: sk.SRSketch) -> sk.RecoveryOutcome:
         self.recoveries += 1

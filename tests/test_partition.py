@@ -3,8 +3,43 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setrecon import partition as pt
+
+KEY_SPACE = 1 << 64
+
+
+def reference_word(schedule, key: Fraction, depth: int) -> tuple[int, ...]:
+    """The placement as first written, in Fraction arithmetic over the point
+    `key` of [0, 1); the integer placement must agree with it exactly."""
+    denom = 1
+    for p in schedule.probs:
+        denom = denom * p.denominator // math.gcd(denom, p.denominator)
+    nums = tuple(int(p * denom) for p in schedule.probs)
+    cum = [0]
+    for n in nums:
+        cum.append(cum[-1] + n)
+    num, den = key.numerator, key.denominator
+    word = []
+    for _ in range(depth):
+        t = num * denom
+        for j in range(schedule.c):
+            if t < cum[j + 1] * den:
+                word.append(j)
+                num = t - cum[j] * den
+                den = den * nums[j]
+                break
+    return tuple(word)
+
+
+EXACTNESS_SCHEDULES = (
+    pt.fair_probs(2),
+    pt.round_optimal_probs(3),
+    pt.round_optimal_probs(4),
+    pt.schedule_from_strings(["0.15", "0.1", "0.25", "0.2", "0.3"]),
+)
 
 
 def test_schedule_validation():
@@ -70,7 +105,7 @@ def test_exact_tiling():
 def test_key_of_determinism_and_range():
     k1 = pt.key_of(123456, 7)
     assert k1 == pt.key_of(123456, 7)
-    assert 0 <= k1 < 1
+    assert isinstance(k1, int) and 0 <= k1 < KEY_SPACE
     assert pt.key_of(123456, 8) != k1
 
 
@@ -84,7 +119,7 @@ def test_seed_changes_partition():
 
 def test_key_uniformity_ks():
     n = 1_000_000
-    keys = sorted(float(pt.key_of(e, 3)) for e in range(n))
+    keys = sorted(pt.key_of(e, 3) / KEY_SPACE for e in range(n))
     d_stat = 0.0
     for i, x in enumerate(keys):
         d_stat = max(d_stat, abs((i + 1) / n - x), abs(x - i / n))
@@ -120,23 +155,24 @@ def test_path_word_roundtrip():
         # any key inside the interval maps back to the same word
         span = interval.hi - interval.lo
         key = interval.lo + span * Fraction(rng.getrandbits(32), 1 << 33)
-        assert pt.word_of_key(sched, key, len(path)) == path
+        assert (key * KEY_SPACE).denominator == 1  # exact at 64 bits
+        assert pt.word_of_key(sched, int(key * KEY_SPACE), len(path)) == path
 
 
 def test_word_of_key_boundary():
     sched = pt.fair_probs(2)
-    assert pt.word_of_key(sched, Fraction(1, 2), 1) == (1,)
-    assert pt.word_of_key(sched, Fraction(0), 3) == (0, 0, 0)
+    assert pt.word_of_key(sched, KEY_SPACE // 2, 1) == (1,)
+    assert pt.word_of_key(sched, 0, 3) == (0, 0, 0)
 
 
 def test_locate_matches_word():
     sched = pt.schedule_from_strings(["0.15", "0.1", "0.25", "0.2", "0.3"])
     rng = random.Random(6)
     for _ in range(50):
-        key = Fraction(rng.getrandbits(64), 1 << 64)
-        j, child = pt.root_interval().locate(key, sched)
+        key = rng.getrandbits(64)
+        j, child = pt.root_interval().locate(Fraction(key, KEY_SPACE), sched)
         assert pt.word_of_key(sched, key, 1) == (j,)
-        assert child.contains(key)
+        assert child.contains(Fraction(key, KEY_SPACE))
 
 
 def test_interval_validation():
@@ -144,3 +180,36 @@ def test_interval_validation():
         pt.PartitionInterval(Fraction(1, 2), Fraction(1, 2), ())
     with pytest.raises(ValueError):
         pt.interval_for_path(pt.fair_probs(2), (2,))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    schedule=st.sampled_from(EXACTNESS_SCHEDULES),
+    key=st.integers(0, KEY_SPACE - 1),
+    depth=st.integers(0, 24),
+)
+def test_integer_word_matches_fraction_reference(schedule, key, depth):
+    assert pt.word_of_key(schedule, key, depth) == reference_word(
+        schedule, Fraction(key, KEY_SPACE), depth)
+
+
+@settings(max_examples=400, deadline=None)
+@given(schedule=st.sampled_from(EXACTNESS_SCHEDULES), data=st.data())
+def test_integer_word_exact_at_child_boundaries(schedule, data):
+    # the first key at or above a child's lower boundary at depth <= 24,
+    # and its neighbours on both sides
+    depth = data.draw(st.integers(1, 24))
+    path = tuple(data.draw(st.lists(st.integers(0, schedule.c - 1),
+                                    min_size=depth - 1, max_size=depth - 1)))
+    j = data.draw(st.integers(1, schedule.c - 1))
+    node = pt.interval_for_path(schedule, path)
+    cum = schedule.cumulative()
+    boundary = node.lo + cum[j] * node.measure
+    first = -(-boundary.numerator * KEY_SPACE // boundary.denominator)  # ceil
+    for key in (first - 1, first, first + 1):
+        if 0 <= key < KEY_SPACE:
+            assert pt.word_of_key(schedule, key, depth) == reference_word(
+                schedule, Fraction(key, KEY_SPACE), depth)
+    if Fraction(first, KEY_SPACE) < node.lo + cum[j + 1] * node.measure:
+        # the child holds a key: the first one is placed in it
+        assert pt.word_of_key(schedule, first, depth) == path + (j,)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -39,17 +40,12 @@ def _instance(seed, delta, shared_count, bits=32):
 
 def test_respond_examples():
     fx = proto.load_fixture("fig2")
-    empty = proto.respond((), [], fx.config, fx.placement)
-    assert empty == sk.new_sketch(fx.config.field_config)
-    # a PartitionInterval works as the request too
-    from setrecon.partition import interval_for_path
-
-    iv = interval_for_path(fx.config.schedule, (1,))
-    assert proto.respond(iv, fx.set_b, fx.config, fx.placement) == proto.respond(
-        (1,), fx.set_b, fx.config, fx.placement
-    )
-    parent = proto.respond((1,), fx.set_b, fx.config, fx.placement)
-    kids = [proto.respond((1, j), fx.set_b, fx.config, fx.placement) for j in (0, 1)]
+    fp = fx.config.fingerprint()
+    empty = proto.Responder([], fx.config, fx.placement).reply(fp, ())
+    assert sk.from_bytes(empty) == sk.new_sketch(fx.config.field_config)
+    responder = proto.Responder(fx.set_b, fx.config, fx.placement)
+    parent = sk.from_bytes(responder.reply(fp, (1,)))
+    kids = [sk.from_bytes(responder.reply(fp, (1, j))) for j in (0, 1)]
     q = fx.config.field_config.modulus
     assert parent.values == tuple(
         a * b % q for a, b in zip(kids[0].values, kids[1].values)
@@ -58,8 +54,118 @@ def test_respond_examples():
     # byte-identical replies across responders
     r1 = proto.Responder(fx.set_b, fx.config, fx.placement)
     r2 = proto.Responder(fx.set_b, fx.config, fx.placement)
-    fp = fx.config.fingerprint()
     assert r1.reply(fp, (0,)) == r2.reply(fp, (0,))
+
+
+class RecordingTransport(proto.LoopbackTransport):
+    """Loopback transport that also keeps every reply blob."""
+
+    def __init__(self, responder):
+        super().__init__(responder)
+        self.blobs = []
+
+    def request(self, fingerprint, path):
+        blob = super().request(fingerprint, path)
+        self.blobs.append((path, blob))
+        return blob
+
+
+@pytest.mark.parametrize("sched, depth", [(fair_probs(2), 3), (round_optimal_probs(4), 2)],
+                         ids=["c2", "c4"])
+def test_partition_index_sketches_match_members(sched, depth, monkeypatch):
+    # every sketch served, built or divided out of the parent, is the sketch
+    # of the node's members, and the members are the hashed placement's
+    from setrecon.partition import key_of, word_of_key
+
+    subtracts = []
+    real_subtract = sk.subtract
+    monkeypatch.setattr(sk, "subtract", lambda a, b: subtracts.append(1) or real_subtract(a, b))
+    cfg = proto.ProtocolConfig(3, 1, 32, sched, hash_seed=5)
+    elements = random.Random(8).sample(range(1 << 32), 2000)
+    index = proto.PartitionIndex(elements, cfg)
+    paths = [()]
+    for d in range(depth):
+        paths += [p + (j,) for p in paths if len(p) == d for j in range(sched.c)]
+    for path in paths:  # breadth first, children in order
+        members = index.members(path)
+        assert sorted(members) == sorted(
+            e for e in elements if word_of_key(sched, key_of(e, 5), len(path)) == path)
+        assert index.sketch(path) == sk.sketch_of(cfg.field_config, members)
+    # every last child is divided out, as its parent and siblings come first
+    divided = [p for p in paths if p and p[-1] == sched.c - 1]
+    assert len(subtracts) == len(divided) * (sched.c - 1)
+    # a child index outside the schedule is refused, also once its parent
+    # and every real sibling have sketches
+    for bad in ((sched.c,), (-1,)):
+        with pytest.raises(proto.ProtocolError):
+            index.members(bad)
+        with pytest.raises(proto.ProtocolError):
+            index.sketch(bad)
+
+
+@pytest.mark.parametrize("sched", [fair_probs(2), round_optimal_probs(4)],
+                         ids=["c2", "c4"])
+def test_responder_reuse_across_clients(sched, monkeypatch):
+    # one long-lived B serving 20 clients answers exactly as a fresh B per client
+    rng = random.Random(13)
+    set_b = set(rng.sample(range(1 << 32), 300))
+    cfg = proto.ProtocolConfig(3, 1, 32, sched, hash_seed=3)
+    shared = {name: proto.Responder(set_b, replace(cfg, protocol=name))
+              for name in ("psr", "epsr")}
+    for _ in range(20):
+        delta = rng.randint(0, 30)
+        n_a = rng.randint(0, delta)
+        b_only = set(rng.sample(sorted(set_b), delta - n_a))
+        a_only = set(rng.sample(range(1 << 32), n_a)) - set_b
+        set_a = (set_b - b_only) | a_only
+        for name, engine in (("psr", proto.psr_reconcile), ("epsr", proto.epsr_reconcile)):
+            c = replace(cfg, protocol=name)
+            long_lived = RecordingTransport(shared[name])
+            fresh = RecordingTransport(proto.Responder(set_b, c))
+            out = engine(set_a, long_lived, c)
+            assert out == engine(set_a, fresh, c)
+            assert long_lived.blobs == fresh.blobs
+            assert out[0].a_only == a_only and out[0].b_only == b_only
+    # a repeated client is served from the kept sketches, with no sketch work on B
+    class NoWorkTransport(proto.LoopbackTransport):
+        def request(self, fingerprint, path):
+            with monkeypatch.context() as m:
+                m.setattr(sk, "sketch_of", None)
+                m.setattr(sk, "subtract", None)
+                return super().request(fingerprint, path)
+
+    for name, engine in (("psr", proto.psr_reconcile), ("epsr", proto.epsr_reconcile)):
+        c = replace(cfg, protocol=name)
+        assert engine(set_a, NoWorkTransport(shared[name]), c)[0].b_only == b_only
+
+
+def _malformed(cfg, case):
+    field = cfg.field_config
+    blob = bytearray(sk.to_bytes(sk.sketch_of(field, [7, 8])))
+    if case == "short":
+        return bytes(blob[:5])
+    if case == "long":
+        return bytes(blob + b"\0")
+    blob[-field.value_bytes:] = field.modulus.to_bytes(field.value_bytes, "little")
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("case, match", [("short", "too short"), ("long", "length"),
+                                         ("value", "outside the field")],
+                         ids=["short", "long", "value"])
+@pytest.mark.parametrize("engine", [proto.psr_reconcile, proto.epsr_reconcile],
+                         ids=["psr", "epsr"])
+def test_malformed_reply_rejected(engine, case, match):
+    cfg = proto.ProtocolConfig(3, 2, 32, fair_probs(2), hash_seed=1)
+    blob = _malformed(cfg, case)
+
+    class StubTransport:
+        def request(self, fingerprint, path):
+            return blob
+
+    with pytest.raises(proto.ProtocolError, match=match) as info:
+        engine({1, 2, 3}, StubTransport(), cfg)
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_fig2_golden_with_trace():
@@ -117,8 +223,6 @@ def test_fixture_protocol_override():
     # running the per-partition engine on the subtract-reuse fixture tree
     # gives the per-partition metrics, and vice versa
     fx = proto.load_fixture("fig3")
-    from dataclasses import replace
-
     cfg = replace(fx.config, protocol="psr")
     _, m = proto.reconcile(fx.set_a, proto.make_loopback(fx.set_b, cfg, fx.placement),
                            cfg, fx.placement)
