@@ -63,7 +63,6 @@ from .protocol import (
     make_loopback,
     psr_reconcile,
     reconcile,
-    round_count,
 )
 from .sketch import (
     ConfigError,

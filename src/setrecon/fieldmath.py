@@ -9,6 +9,8 @@ wrapper objects are used; every function takes the modulus q explicitly.
 from __future__ import annotations
 
 import random
+from itertools import chain
+from operator import mul
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
@@ -100,24 +102,28 @@ def _poly_mul_school(a: list[int], b: list[int], q: int) -> list[int]:
     return poly_trim([c % q for c in out])
 
 
+def _ks_width(q: int, n: int) -> int:
+    # Bytes per packed slot: a product slot sums up to n products of two
+    # coefficients in [0, q), so it must hold n*q^2.
+    return (2 * q.bit_length() + n.bit_length() + 8) // 8
+
+
+def _ks_pack(a: list[int], nbytes: int) -> int:
+    return int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in a), "little")
+
+
+def _ks_unpack(x: int, n: int, nbytes: int) -> list[int]:
+    # The first n slots of x, not reduced mod q.
+    raw = x.to_bytes(n * nbytes, "little")
+    return [int.from_bytes(raw[i:i + nbytes], "little") for i in range(0, n * nbytes, nbytes)]
+
+
 def _poly_mul_ks(a: list[int], b: list[int], q: int) -> list[int]:
     # Pack coefficients into one big int so the product is a single
-    # C-level multiplication; slot width must hold min(len)*q^2.
-    slot_bits = 2 * q.bit_length() + min(len(a), len(b)).bit_length() + 1
-    nbytes = (slot_bits + 7) // 8
-    pa = bytearray(len(a) * nbytes)
-    for i, c in enumerate(a):
-        pa[i * nbytes:i * nbytes + nbytes] = c.to_bytes(nbytes, "little")
-    pb = bytearray(len(b) * nbytes)
-    for i, c in enumerate(b):
-        pb[i * nbytes:i * nbytes + nbytes] = c.to_bytes(nbytes, "little")
-    prod = int.from_bytes(pa, "little") * int.from_bytes(pb, "little")
-    raw = prod.to_bytes((len(a) + len(b)) * nbytes, "little")
-    out = [
-        int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") % q
-        for i in range(len(a) + len(b) - 1)
-    ]
-    return poly_trim(out)
+    # C-level multiplication.
+    nbytes = _ks_width(q, min(len(a), len(b)))
+    prod = _ks_pack(a, nbytes) * _ks_pack(b, nbytes)
+    return poly_trim([c % q for c in _ks_unpack(prod, len(a) + len(b) - 1, nbytes)])
 
 
 def poly_mul(a: list[int], b: list[int], q: int) -> list[int]:
@@ -184,16 +190,55 @@ def poly_from_roots(roots, q: int) -> list[int]:
 
 
 def poly_pow_mod(base: list[int], e: int, mod: list[int], q: int) -> list[int]:
-    """base^e reduced modulo the polynomial `mod`."""
-    result = [1]
-    acc = poly_mod(base, mod, q)
-    while e:
-        if e & 1:
-            result = poly_mod(poly_mul(result, acc, q), mod, q)
-        e >>= 1
-        if e:
-            acc = poly_mod(poly_mul(acc, acc, q), mod, q)
-    return result
+    """base^e reduced modulo the polynomial `mod` (e >= 0; base^0 is [1]).
+
+    Left-to-right square-and-multiply modulo the monic associate f of
+    `mod`, of degree d.  Each square is one Kronecker-packed product.  A
+    table of Z^k mod f for k = d .. 2d-2, built once per call, is kept
+    packed, so reducing a product is one linear combination of packed rows
+    weighted by its high coefficients.  Multiplying by a linear base is an
+    O(d) update.
+    """
+    if e < 0:
+        raise ValueError("negative exponent")
+    acc = poly_trim([c % q for c in poly_mod(base, mod, q)])
+    if e == 0:
+        return [1]
+    if not acc:
+        return []
+    f = poly_monic(mod, q)
+    d = len(f) - 1
+    # rows[i] = Z^(d+i) mod f.  A packed slot must hold (2d-1)*q^2: a slot
+    # of a product plus a combination of d-1 table rows.
+    rows = [[(-c) % q for c in f[:d]]]
+    for _ in range(d - 2):
+        top = rows[-1][-1]
+        rows.append([(lo + top * c) % q for lo, c in zip([0] + rows[-1][:-1], rows[0])])
+    nbytes = _ks_width(q, 2 * d)
+    packed_rows = [_ks_pack(row, nbytes) for row in rows[:d - 1]]  # none if d == 1
+    low_bits = 8 * nbytes * d
+
+    def reduce(x: int) -> list[int]:
+        # x packs a product of degree <= 2d-2; slot d+i folds back as
+        # (its value mod q) * rows[i].
+        high = [c % q for c in _ks_unpack(x >> low_bits, d - 1, nbytes)]
+        x = (x & ((1 << low_bits) - 1)) + sum(map(mul, high, packed_rows))
+        return [c % q for c in _ks_unpack(x, d, nbytes)]
+
+    r = acc + [0] * (d - len(acc))
+    packed_acc = _ks_pack(r, nbytes)
+    for bit in bin(e)[3:]:
+        x = _ks_pack(r, nbytes)
+        r = reduce(x * x)
+        if bit == "0":
+            continue
+        if len(acc) == 2:
+            a, b = acc
+            top = b * r[-1]
+            r = [(a * lo + b * hi + top * c) % q for lo, hi, c in zip(r, [0] + r[:-1], rows[0])]
+        else:
+            r = reduce(_ks_pack(r, nbytes) * packed_acc)
+    return poly_trim(r)
 
 
 def sqrt_mod(a: int, q: int) -> int | None:
@@ -241,8 +286,14 @@ def _quadratic_roots(f: list[int], q: int) -> list[int] | None:
     return [(-b + s) * inv2 % q, (-b - s) * inv2 % q]
 
 
-def _split_linear(f: list[int], q: int, rng: random.Random) -> list[int] | None:
-    # f is monic and known to be a product of distinct linear factors.
+def _split_linear(
+    f: list[int], q: int, rng: random.Random, first: tuple[list[int], ...] = ()
+) -> list[int] | None:
+    # f is monic; from degree 3 on it is known to be a product of distinct
+    # linear factors (degree 2 is solved directly, or None).  A candidate
+    # w = (Z + a)^((q-1)/2) mod f splits off the roots r with r + a a
+    # nonzero square, as gcd(w - 1, f).  The candidates in `first` are
+    # tried before up to 64 shifts a drawn from rng.
     deg = len(f) - 1
     if deg == 0:
         return []
@@ -251,9 +302,8 @@ def _split_linear(f: list[int], q: int, rng: random.Random) -> list[int] | None:
     if deg == 2:
         return _quadratic_roots(f, q)
     half = (q - 1) // 2
-    for _ in range(64):
-        a = rng.randrange(q)
-        w = poly_pow_mod([a, 1], half, f, q)
+    drawn = (poly_pow_mod([rng.randrange(q), 1], half, f, q) for _ in range(64))
+    for w in chain(first, drawn):
         g = poly_gcd(poly_sub(w, [1], q), f, q)
         if 0 < len(g) - 1 < deg:
             left = _split_linear(g, q, rng)
@@ -268,20 +318,22 @@ def find_distinct_roots(f: list[int], q: int, rng: random.Random) -> list[int] |
     """All roots of f if it splits into distinct linear factors over F_q.
 
     Returns None when it does not (repeated roots, irreducible factors, or
-    the zero polynomial).  Uses gcd with Z^q - Z as the completeness test
-    and randomized degree-one splitting with shifts drawn from rng.
+    the zero polynomial).  For degree >= 3 one exponentiation,
+    w = Z^((q-1)/2) mod f, serves twice: Z*w^2 = Z^q ≡ Z (mod f) is the
+    completeness test, and gcd(w - 1, f) is a first split with shift 0.
+    Further splits use shifts drawn from rng.
     """
     if not f:
         return None
     f = poly_monic(f, q)
     deg = len(f) - 1
-    if deg == 0:
-        return []
-    if deg == 1:
-        return [(-f[0]) % q]
-    if deg == 2:
-        return _quadratic_roots(f, q)
-    # Z^q ≡ Z (mod f) iff f is squarefree and fully split.
-    if poly_pow_mod([0, 1], q, f, q) != [0, 1]:
+    if deg < 3:
+        return _split_linear(f, q, rng)
+    # Z^q ≡ Z (mod f) iff f is squarefree and fully split, which needs
+    # deg f <= q.  That bound also keeps q = 2, where Z*w^2 = Z, out.
+    if deg > q:
         return None
-    return _split_linear(f, q, rng)
+    w = poly_pow_mod([0, 1], (q - 1) // 2, f, q)
+    if poly_mod(poly_mul([0, 1], poly_mul(w, w, q), q), f, q) != [0, 1]:
+        return None
+    return _split_linear(f, q, rng, (w,))

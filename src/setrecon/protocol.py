@@ -212,14 +212,6 @@ class ProtocolTrace:
         return [r.path for r in self.records if r.direction == "b_to_a"]
 
 
-def round_count(trace: ProtocolTrace) -> int:
-    """1 + deepest partition whose sketch crossed the network."""
-    paths = trace.transmitted_paths()
-    if not paths:
-        raise ValueError("empty trace")
-    return 1 + max(len(p) for p in paths)
-
-
 class Responder:
     """B-side request handler serving serialized partition sketches.  B's
     set is fixed, so each path's sketch is made once and kept for later

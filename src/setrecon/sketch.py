@@ -17,6 +17,7 @@ import random
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from . import fieldmath as fm
 
@@ -144,12 +145,18 @@ def subtract(za: SRSketch, zb: SRSketch) -> SRSketch:
     cfg = za.config
     if cfg != zb.config:
         raise MismatchError("sketch configurations differ")
+    if 0 in zb.values:
+        raise ZeroDivisionError("zero evaluation in subtrahend sketch")
     q = cfg.modulus
-    vals = []
-    for va, vb in zip(za.values, zb.values):
-        if vb == 0:
-            raise ZeroDivisionError("zero evaluation in subtrahend sketch")
-        vals.append(va * fm.inv_mod(vb, q) % q)
+    # Batch inversion (Montgomery's trick): invert the product of all
+    # subtrahend values once; 1/vb_i is then prefix_(i-1) / prefix_i.
+    prefix = list(accumulate(zb.values, lambda x, y: x * y % q))
+    inv = fm.inv_mod(prefix[-1], q)
+    vals = [0] * len(prefix)
+    for i in range(len(prefix) - 1, 0, -1):
+        vals[i] = za.values[i] * prefix[i - 1] * inv % q
+        inv = inv * zb.values[i] % q
+    vals[0] = za.values[0] * inv % q
     return SRSketch(cfg, tuple(vals), za.count - zb.count)
 
 

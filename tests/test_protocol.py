@@ -179,7 +179,7 @@ def test_fig2_golden_with_trace():
     assert m.bits_b_to_a == 11 * sk.wire_cost(2, 1, 16)
     assert res.a_only == fx.set_a and res.b_only == fx.set_b
     assert trace.lines() == FIG2_TRACE
-    assert proto.round_count(trace) == 4
+    assert 1 + max(len(p) for p in trace.transmitted_paths()) == m.rounds
 
 
 def test_fig3_golden():
@@ -192,7 +192,7 @@ def test_fig3_golden():
     assert (m.sketches_transmitted, m.recovery_calls, m.rounds) == (6, 11, 4)
     assert res.symmetric_difference == fx.set_a | fx.set_b
     assert trace.transmitted_paths() == FIG3_TX_PATHS
-    assert proto.round_count(trace) == 4
+    assert 1 + max(len(p) for p in trace.transmitted_paths()) == m.rounds
 
 
 def test_trace_file_roundtrip(tmp_path):
@@ -216,7 +216,7 @@ def test_equal_sets_single_round():
         res, m = engine(s, proto.make_loopback(s, cfg, trace=trace), cfg)
         assert (m.sketches_transmitted, m.recovery_calls, m.rounds) == (1, 1, 1)
         assert not res.symmetric_difference
-        assert proto.round_count(trace) == 1
+        assert 1 + max(len(p) for p in trace.transmitted_paths()) == m.rounds
 
 
 def test_fixture_protocol_override():
@@ -370,11 +370,6 @@ def test_table_placement_errors():
     with pytest.raises(proto.ProtocolError):
         placement.word(1, 3)
     assert placement.word(1, 2) == (0, 1)
-
-
-def test_round_count_empty_trace():
-    with pytest.raises(ValueError):
-        proto.round_count(proto.ProtocolTrace())
 
 
 def test_unknown_fixture():

@@ -2,6 +2,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setrecon import sketch as sk
 
@@ -262,3 +264,24 @@ def test_complexity_shape():
     recover_ratio = results[32][2] / results[8][2]
     assert recover_ratio > 2.5 * insert_ratio, (insert_ratio, recover_ratio)
     assert recover_ratio > 2.5 * subtract_ratio, (subtract_ratio, recover_ratio)
+
+
+@pytest.mark.parametrize("bits", [16, 64, 256])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_subtract_matches_pointwise_inverse(bits, data):
+    cfg = sk.field_setup(bits, data.draw(st.integers(1, 40)), data.draw(st.integers(0, 3)))
+    q, n = cfg.modulus, cfg.n_points
+    va = data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    vb = data.draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))
+    za = sk.SRSketch(cfg, tuple(va), data.draw(st.integers(-5, 5)))
+    zero = data.draw(st.none() | st.integers(0, n - 1))
+    if zero is not None:
+        vb[zero] = 0
+        with pytest.raises(ZeroDivisionError):
+            sk.subtract(za, sk.SRSketch(cfg, tuple(vb), 0))
+        return
+    zb = sk.SRSketch(cfg, tuple(vb), data.draw(st.integers(-5, 5)))
+    got = sk.subtract(za, zb)
+    assert got.values == tuple(a * pow(b, -1, q) % q for a, b in zip(va, vb))
+    assert got.count == za.count - zb.count
