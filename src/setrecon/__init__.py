@@ -8,22 +8,12 @@ simulator.
 
 from .analysis import (
     ExpectationTables,
-    RoundBoundParams,
-    TreeSample,
     enumerate_tree_expectations,
-    epsr_expected_recoveries,
-    epsr_expected_sketches,
     exact_expectation_tables,
     expectation_tables,
     h_index,
     mc_sample_batch,
-    mc_tree_sample,
-    normalized_complexity,
-    psr_expected_recoveries,
-    psr_expected_recoveries_fair,
     psr_recovery_bound,
-    redundancy,
-    round_bounds,
 )
 from .netsim import (
     SCENARIO_PRESETS,
@@ -33,16 +23,11 @@ from .netsim import (
     run_scenario,
     run_trial,
     sample_placement_tree,
-    tree_from_words,
-    write_event_log,
 )
 from .partition import (
-    PartitionInterval,
     PartitionSchedule,
     fair_probs,
-    interval_for_path,
     key_of,
-    root_interval,
     round_optimal_probs,
     schedule_from_strings,
     word_of_key,
@@ -73,8 +58,6 @@ from .sketch import (
     SRSketch,
     field_setup,
     from_bytes,
-    hex_dump,
-    insert_element,
     insert_set,
     new_sketch,
     recover,

@@ -226,11 +226,17 @@ def criterion_6_c_independence() -> tuple[bool, str]:
     return chk.result()
 
 
-def _distinct_elements(rng: random.Random, count: int, bits: int) -> list[int]:
-    out: set[int] = set()
-    while len(out) < count:
-        out.add(rng.getrandbits(bits))
-    return sorted(out)
+def random_instance(rng: random.Random, delta: int, shared: int, bits: int):
+    """Random set pair of distinct `bits`-bit elements: `delta` differing
+    ones, split at random between A-only and B-only, and `shared` common
+    ones.  Returns (a_only, b_only, shared) as frozensets."""
+    pool: set[int] = set()
+    while len(pool) < delta + shared:
+        pool.add(rng.getrandbits(bits))
+    pool = sorted(pool)
+    rng.shuffle(pool)
+    a_count = rng.randint(0, delta)
+    return frozenset(pool[:a_count]), frozenset(pool[a_count:delta]), frozenset(pool[delta:])
 
 
 def criterion_7_end_to_end() -> tuple[bool, str]:
@@ -243,12 +249,7 @@ def criterion_7_end_to_end() -> tuple[bool, str]:
     for i in range(500):
         delta = rng.randint(0, 500)
         shared_count = rng.randint(0, 150)
-        pool = _distinct_elements(rng, delta + shared_count, 64)
-        rng.shuffle(pool)
-        a_count = rng.randint(0, delta)
-        a_only = frozenset(pool[:a_count])
-        b_only = frozenset(pool[a_count:delta])
-        shared = set(pool[delta:])
+        a_only, b_only, shared = random_instance(rng, delta, shared_count, 64)
         set_a = set(a_only) | shared
         set_b = set(b_only) | shared
         config = ProtocolConfig(

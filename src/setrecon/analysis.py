@@ -14,9 +14,10 @@ computed bottom-up in log space (binomial terms below exp(-700) underflow
 to zero, a documented absolute error well under 1e-10 per entry).  Exact
 Fraction evaluators of the same recursions, plus an independent oracle
 that enumerates every placement of a split directly from the per-tree
-counting rules, serve as references.  Monte Carlo samplers draw whole
-placement trees and evaluate all three counts and the tree depth jointly
-on each tree.
+counting rules, serve as references.  The Monte Carlo sampler
+`mc_sample_batch` draws many placement trees at once, level by level, and
+evaluates all three counts and the tree depth jointly on each tree; the
+single-tree sampler is `netsim.sample_placement_tree`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -94,37 +94,6 @@ def expectation_tables(delta_max: int, mbar: int,
     for arr in (n_bar, t_bar, u_bar):
         arr.flags.writeable = False
     return ExpectationTables(mbar, schedule, n_bar, t_bar, u_bar)
-
-
-def psr_expected_recoveries(delta_max: int, mbar: int,
-                            schedule: PartitionSchedule) -> np.ndarray:
-    return expectation_tables(delta_max, mbar, schedule).n_bar
-
-
-def epsr_expected_sketches(delta_max: int, mbar: int,
-                           schedule: PartitionSchedule) -> np.ndarray:
-    return expectation_tables(delta_max, mbar, schedule).t_bar
-
-
-def epsr_expected_recoveries(delta_max: int, mbar: int,
-                             schedule: PartitionSchedule) -> np.ndarray:
-    return expectation_tables(delta_max, mbar, schedule).u_bar
-
-
-def psr_expected_recoveries_fair(delta_max: int, mbar: int, c: int) -> np.ndarray:
-    """Specialized fair-partitioning form of the recovery-call recursion,
-    kept separate as a cross-check of the general evaluator."""
-    lg = _lgamma_table(delta_max)
-    n_bar = np.ones(delta_max + 1)
-    log_cm1 = math.log(c - 1) if c > 2 else 0.0
-    log_c = math.log(c)
-    for d in range(mbar + 1, delta_max + 1):
-        i = np.arange(d, dtype=float)
-        base = lg[d] - lg[:d] - lg[d:0:-1]
-        w = np.exp(base + (d - i) * log_cm1 + (1 - d) * log_c)
-        denom = 1.0 - c ** (1 - d)
-        n_bar[d] = (1.0 + float(w @ n_bar[:d])) / denom
-    return n_bar
 
 
 def psr_recovery_bound(delta: float, mbar: int, c: int) -> float:
@@ -248,51 +217,14 @@ def enumerate_tree_expectations(delta_max: int, mbar: int,
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo samplers.
-
-
-class TreeSample(NamedTuple):
-    psr_recoveries: int
-    epsr_sketches: int
-    epsr_recoveries: int
-    depth: int
-
-
-def mc_tree_sample(delta: int, mbar: int, schedule: PartitionSchedule,
-                   rng: np.random.Generator) -> TreeSample:
-    """Draw one multinomial placement tree and evaluate all four counts on
-    it (shared tree, so paired per-sample comparisons are exact)."""
-    probs = schedule.as_floats()
-    c = schedule.c
-
-    def go(d: int) -> tuple[int, int, int, int]:
-        if d <= mbar:
-            return 1, 1, 1, 0
-        counts = rng.multinomial(d, probs)
-        subs = [go(int(x)) for x in counts]
-        n = 1 + sum(s[0] for s in subs)
-        target = d - mbar
-        acc = 0
-        h = c
-        for k, x in enumerate(counts, start=1):
-            acc += int(x)
-            if acc >= target:
-                h = k
-                break
-        t = (1 if h < c else 0) + sum(subs[k][1] for k in range(h))
-        u = (1 if h < c else 0) + h - (1 if h == c else 0) + sum(
-            subs[k][2] for k in range(h)
-        )
-        depth = 1 + max(s[3] for s in subs)
-        return n, t, u, depth
-
-    return TreeSample(*go(delta))
+# Monte Carlo sampler.
 
 
 def mc_sample_batch(delta: int, mbar: int, schedule: PartitionSchedule,
                     n_samples: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Vectorized sampler: n_samples independent trees, processed level by
-    level.  Statistically identical to mc_tree_sample; used for large runs."""
+    level; statistically identical to evaluating the per-tree counting rules
+    on n_samples trees from `netsim.sample_placement_tree`."""
     probs = np.array(schedule.as_floats())
     c = schedule.c
     n = np.ones(n_samples)
@@ -331,54 +263,6 @@ def mc_sample_batch(delta: int, mbar: int, schedule: PartitionSchedule,
         t_active = child_active[keep]
         level += 1
     return {"n": n, "t": t, "u": u, "depth": depth.astype(float)}
-
-
-# ---------------------------------------------------------------------------
-# Derived metrics and bound parameters.
-
-
-def redundancy(expected_sketches, delta, mbar: int, gamma: int, element_bits: int):
-    """Transmitted bits per difference bit: sketches * cost / (delta * bits)."""
-    delta_arr = np.asarray(delta)
-    if np.any(delta_arr < 1):
-        raise ValueError("redundancy undefined for delta < 1")
-    cost = wire_cost(mbar, gamma, element_bits)
-    out = np.asarray(expected_sketches) * cost / (delta_arr * element_bits)
-    return float(out) if out.ndim == 0 else out
-
-
-def normalized_complexity(expected_recoveries, delta, mbar: int):
-    """Recovery calls per mbar-sized chunk of the difference."""
-    delta_arr = np.asarray(delta)
-    if np.any(delta_arr < 1):
-        raise ValueError("normalized complexity undefined for delta < 1")
-    out = np.asarray(expected_recoveries) * mbar / delta_arr
-    return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class RoundBoundParams:
-    """Slope parameters of the expected-round bounds; the expected number
-    of rounds grows like lam*log(delta/mbar) (per-partition protocol) and
-    lam_star*log(delta/mbar) (subtract-reuse protocol)."""
-
-    lam: float
-    lam_star: float
-    q_max: float
-    p_star: tuple[float, ...]
-
-
-def round_bounds(schedule: PartitionSchedule) -> RoundBoundParams:
-    probs = schedule.as_floats()
-    lam = -1.0 / math.log(max(probs))
-    p_star = []
-    rem = 1.0
-    for p in probs[:-1]:
-        p_star.append(p / rem)
-        rem -= p
-    q_max = max(max(ps, 1.0 - ps) for ps in p_star)
-    lam_star = -1.0 / math.log(q_max)
-    return RoundBoundParams(lam, lam_star, q_max, tuple(p_star))
 
 
 # ---------------------------------------------------------------------------

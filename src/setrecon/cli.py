@@ -35,8 +35,7 @@ from .protocol import (
     ProtocolTrace,
     load_fixture,
     make_loopback,
-    psr_reconcile,
-    epsr_reconcile,
+    reconcile,
 )
 from .sketch import wire_cost
 
@@ -147,13 +146,6 @@ def _parse_int_list(text: str) -> list[int]:
     return values
 
 
-def _distinct(rng: random.Random, count: int, bits: int) -> list[int]:
-    out: set[int] = set()
-    while len(out) < count:
-        out.add(rng.getrandbits(bits))
-    return sorted(out)
-
-
 def cmd_reconcile(args) -> int:
     if args.fixture:
         fixture = load_fixture(args.fixture)
@@ -167,13 +159,9 @@ def cmd_reconcile(args) -> int:
         schedule = _schedule_from_args(args)
         if args.delta + args.shared > (1 << min(args.bits, 62)):
             raise UsageError("delta plus shared exceeds the universe capacity")
-        rng = random.Random(args.seed)
-        pool = _distinct(rng, args.delta + args.shared, args.bits)
-        rng.shuffle(pool)
-        a_count = rng.randint(0, args.delta)
-        a_only = frozenset(pool[: a_count])
-        b_only = frozenset(pool[a_count: args.delta])
-        shared = set(pool[args.delta:])
+        a_only, b_only, shared = acceptance.random_instance(
+            random.Random(args.seed), args.delta, args.shared, args.bits
+        )
         set_a, set_b = set(a_only) | shared, set(b_only) | shared
         config = ProtocolConfig(
             args.mbar, args.gamma, args.bits, schedule,
@@ -181,8 +169,7 @@ def cmd_reconcile(args) -> int:
         )
         placement = None
     trace = ProtocolTrace() if args.trace else None
-    engine = psr_reconcile if config.protocol == "psr" else epsr_reconcile
-    result, metrics = engine(
+    result, metrics = reconcile(
         set_a, make_loopback(set_b, config, placement, trace), config, placement
     )
     if trace is not None:

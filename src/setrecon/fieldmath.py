@@ -66,15 +66,6 @@ def poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-def poly_add(a: list[int], b: list[int], q: int) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % q
-    return poly_trim(out)
-
-
 def poly_sub(a: list[int], b: list[int], q: int) -> list[int]:
     out = list(a) + [0] * (len(b) - len(a))
     for i, c in enumerate(b):
@@ -182,13 +173,6 @@ def poly_eval(a: list[int], x: int, q: int) -> int:
     return acc
 
 
-def poly_from_roots(roots, q: int) -> list[int]:
-    out = [1]
-    for r in roots:
-        out = poly_mul(out, [(-r) % q, 1], q)
-    return out
-
-
 def poly_pow_mod(base: list[int], e: int, mod: list[int], q: int) -> list[int]:
     """base^e reduced modulo the polynomial `mod` (e >= 0; base^0 is [1]).
 
@@ -276,6 +260,9 @@ def sqrt_mod(a: int, q: int) -> int | None:
 def _quadratic_roots(f: list[int], q: int) -> list[int] | None:
     """Distinct roots of a monic quadratic, or None if it does not split."""
     b, c = f[1], f[0]
+    if q == 2:
+        # 2 has no inverse: Z^2 + Z is the only split monic quadratic
+        return [0, 1] if (b, c) == (1, 0) else None
     disc = (b * b - 4 * c) % q
     if disc == 0:
         return None

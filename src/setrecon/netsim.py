@@ -8,7 +8,9 @@ the one-way latency again (store-and-forward).  Recoveries at A are jobs
 of fixed duration on a multi-server FIFO CPU; every other computing step
 takes zero time.  Recovery on a partition succeeds iff its difference
 count is at most mbar, so trials run on abstract placement trees rather
-than field arithmetic.
+than field arithmetic.  `sample_placement_tree` draws one such tree; it is
+the package's only per-tree sampler (`analysis.mc_sample_batch` draws
+trees in bulk).
 
 All times are integer nanoseconds internally; results are reported in
 milliseconds.  Identical (protocol, tree, scenario) inputs produce
@@ -121,32 +123,30 @@ class PlacementNode:
 
 def sample_placement_tree(delta: int, mbar: int, schedule: PartitionSchedule,
                           rng: np.random.Generator) -> PlacementNode:
-    """Multinomial placement tree, split until every node holds <= mbar."""
+    """Multinomial placement tree, split until every node holds <= mbar.
+
+    Splits are drawn in pre-order (a node, then its children's subtrees
+    left to right), so a given rng state always yields the same tree.  The
+    walk keeps its own stack, so the tree may be arbitrarily deep."""
     probs = schedule.as_floats()
-
-    def go(count: int) -> PlacementNode:
-        if count <= mbar:
-            return PlacementNode(count)
-        parts = rng.multinomial(count, probs)
-        return PlacementNode(count, tuple(go(int(x)) for x in parts))
-
-    return go(delta)
-
-
-def tree_from_words(words, mbar: int, c: int) -> PlacementNode:
-    """Placement tree induced by explicit element path words."""
-
-    def go(group: list[tuple[int, ...]], depth: int) -> PlacementNode:
-        if len(group) <= mbar:
-            return PlacementNode(len(group))
-        buckets: list[list[tuple[int, ...]]] = [[] for _ in range(c)]
-        for w in group:
-            if depth >= len(w):
-                raise ValueError("placement words too short for the tree depth")
-            buckets[w[depth]].append(w)
-        return PlacementNode(len(group), tuple(go(b, depth + 1) for b in buckets))
-
-    return go([tuple(w) for w in words], 0)
+    if delta <= mbar:
+        return PlacementNode(delta)
+    # Each frame: a split node's count, its unvisited child counts, and
+    # its finished children.
+    stack = [(delta, iter(rng.multinomial(delta, probs).tolist()), [])]
+    while True:
+        count, parts, done = stack[-1]
+        x = next(parts, None)
+        if x is None:
+            stack.pop()
+            node = PlacementNode(count, tuple(done))
+            if not stack:
+                return node
+            stack[-1][2].append(node)
+        elif x <= mbar:
+            done.append(PlacementNode(x))
+        else:
+            stack.append((x, iter(rng.multinomial(x, probs).tolist()), []))
 
 
 # ---------------------------------------------------------------------------
@@ -314,28 +314,11 @@ def run_trial(protocol: str, tree: PlacementNode, scenario: ScenarioConfig,
     )
 
 
-def write_event_log(fobj, log) -> None:
-    """Dump an event log as line-delimited `time_ns,event,path` records."""
-    for t, event, path in log:
-        fobj.write(f"{t},{event},{path}\n")
-
-
 def run_scenario(protocol: str, delta: int, scenario: ScenarioConfig,
                  seed: int) -> float:
     """Mean total reconciliation time (ms) over scenario.samples sampled
     placement trees; deterministic given the seed."""
-    times = scenario_times(protocol, delta, scenario, seed)
-    return float(np.mean(times))
-
-
-def scenario_times(protocol: str, delta: int, scenario: ScenarioConfig,
-                   seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    trees = [
-        sample_placement_tree(delta, scenario.mbar, scenario.schedule, rng)
-        for _ in range(scenario.samples)
-    ]
-    return np.array([run_trial(protocol, t, scenario).total_ms for t in trees])
+    return sweep([delta], scenario, [scenario.n_cores], (protocol,), seed)[0][3]
 
 
 def sweep(deltas, scenario: ScenarioConfig, cores_list, protocols, seed: int):

@@ -95,62 +95,6 @@ def key_of(element: int, seed: int) -> int:
     return int.from_bytes(digest, "little")
 
 
-@dataclass(frozen=True)
-class PartitionInterval:
-    """Half-open subinterval [lo, hi) of the key space with its tree path."""
-
-    lo: Fraction
-    hi: Fraction
-    path: tuple[int, ...]
-
-    def __post_init__(self):
-        if not 0 <= self.lo < self.hi <= 1:
-            raise ValueError("interval bounds must satisfy 0 <= lo < hi <= 1")
-
-    @property
-    def measure(self) -> Fraction:
-        return self.hi - self.lo
-
-    def contains(self, key: Fraction) -> bool:
-        return self.lo <= key < self.hi
-
-    def split(self, schedule: PartitionSchedule) -> tuple["PartitionInterval", ...]:
-        """The c children, tiling this interval exactly."""
-        width = self.measure
-        cum = schedule.cumulative()
-        return tuple(
-            PartitionInterval(
-                self.lo + cum[j] * width,
-                self.lo + cum[j + 1] * width,
-                self.path + (j,),
-            )
-            for j in range(schedule.c)
-        )
-
-    def locate(self, key: Fraction, schedule: PartitionSchedule):
-        """Child index and child interval holding the key."""
-        if not self.contains(key):
-            raise ValueError("key outside interval")
-        for j, child in enumerate(self.split(schedule)):
-            if key < child.hi:
-                return j, child
-        raise AssertionError("children must tile the interval")
-
-
-def root_interval() -> PartitionInterval:
-    return PartitionInterval(Fraction(0), Fraction(1), ())
-
-
-def interval_for_path(schedule: PartitionSchedule, path) -> PartitionInterval:
-    """Interval reached by following the path word from the root."""
-    node = root_interval()
-    for j in path:
-        if not 0 <= j < schedule.c:
-            raise ValueError(f"child index {j} outside schedule")
-        node = node.split(schedule)[j]
-    return node
-
-
 def word_of_key(schedule: PartitionSchedule, key: int, depth: int) -> tuple[int, ...]:
     """First `depth` child indices of the path of the point key / 2^64.
 

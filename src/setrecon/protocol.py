@@ -124,10 +124,6 @@ class TablePlacement:
         return w[:depth]
 
 
-def default_placement(config: ProtocolConfig) -> HashPlacement:
-    return HashPlacement(config.schedule, config.hash_seed)
-
-
 class PartitionIndex:
     """One party's elements along the partition tree, filled lazily.
 
@@ -138,7 +134,7 @@ class PartitionIndex:
     siblings already have theirs, built from the members otherwise."""
 
     def __init__(self, elements, config: ProtocolConfig, placement=None):
-        self._placement = placement or default_placement(config)
+        self._placement = placement or HashPlacement(config.schedule, config.hash_seed)
         self._field = config.field_config
         self._c = config.schedule.c
         self._members: dict[tuple[int, ...], list[int]] = {(): list(elements)}

@@ -105,18 +105,6 @@ def new_sketch(config: FieldConfig) -> SRSketch:
     return SRSketch(config, (1,) * config.n_points, 0)
 
 
-def insert_element(sk: SRSketch, element: int) -> SRSketch:
-    """Multiply each value by (z_i - element); increments the count."""
-    cfg = sk.config
-    if not 0 <= element < cfg.universe_size:
-        raise ElementError(f"element {element} outside [0, 2^{cfg.element_bits})")
-    if sk.count >= _COUNT_MAX:
-        raise ElementError("sketch count would overflow 32-bit range")
-    q = cfg.modulus
-    vals = tuple(v * (z - element) % q for v, z in zip(sk.values, cfg.eval_points))
-    return SRSketch(cfg, vals, sk.count + 1)
-
-
 def insert_set(sk: SRSketch, elements) -> SRSketch:
     """Insert all elements of a set (duplicates rejected)."""
     elems = list(elements)
@@ -291,10 +279,6 @@ def from_bytes(data: bytes) -> SRSketch:
             raise ValueError("sketch value outside the field")
         vals.append(v)
     return SRSketch(cfg, tuple(vals), count)
-
-
-def hex_dump(sk: SRSketch) -> str:
-    return to_bytes(sk).hex(" ", 4)
 
 
 def _content_digest(sk: SRSketch) -> bytes:

@@ -1,12 +1,29 @@
 import io
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from setrecon import analysis as an
-from setrecon.partition import PartitionSchedule, fair_probs, round_optimal_probs
+from setrecon.netsim import sample_placement_tree
+from setrecon.partition import fair_probs, round_optimal_probs
+from test_netsim import _tree_counts
+
+
+def psr_expected_recoveries_fair(delta_max: int, mbar: int, c: int) -> np.ndarray:
+    """Specialized fair-partitioning form of the recovery-call recursion,
+    a cross-check of the general evaluator."""
+    lg = np.array([math.lgamma(k + 1) for k in range(delta_max + 1)])
+    n_bar = np.ones(delta_max + 1)
+    log_cm1 = math.log(c - 1) if c > 2 else 0.0
+    log_c = math.log(c)
+    for d in range(mbar + 1, delta_max + 1):
+        i = np.arange(d, dtype=float)
+        base = lg[d] - lg[:d] - lg[d:0:-1]
+        w = np.exp(base + (d - i) * log_cm1 + (1 - d) * log_c)
+        denom = 1.0 - c ** (1 - d)
+        n_bar[d] = (1.0 + float(w @ n_bar[:d])) / denom
+    return n_bar
 
 
 def test_base_case_and_spot_values():
@@ -19,8 +36,8 @@ def test_base_case_and_spot_values():
 
 def test_fair_specialization_matches_general():
     for c in (2, 3, 4):
-        general = an.psr_expected_recoveries(300, 3, fair_probs(c))
-        fair = an.psr_expected_recoveries_fair(300, 3, c)
+        general = an.expectation_tables(300, 3, fair_probs(c)).n_bar
+        fair = psr_expected_recoveries_fair(300, 3, c)
         assert np.max(np.abs(general - fair) / fair) < 1e-12
 
 
@@ -65,23 +82,29 @@ def test_h_index_examples():
 def test_psr_recovery_bound():
     assert an.psr_recovery_bound(100, 24, 2) == pytest.approx(96 * math.e, rel=1e-12)
     for c in (2, 3, 4):
-        n_bar = an.psr_expected_recoveries(500, 10, fair_probs(c))
+        n_bar = an.expectation_tables(500, 10, fair_probs(c)).n_bar
         d = np.arange(11, 501)
         assert np.all(n_bar[11:] <= an.psr_recovery_bound(d, 10, c))
 
 
+def _sample_counts(delta, mbar, schedule, rng):
+    """(n, t, u, depth) of one tree from the single-tree sampler."""
+    tree = sample_placement_tree(delta, mbar, schedule, rng)
+    return _tree_counts(tree, mbar, schedule.c)
+
+
 def test_mc_tree_sample_base_case():
     rng = np.random.default_rng(0)
-    assert an.mc_tree_sample(3, 5, fair_probs(2), rng) == (1, 1, 1, 0)
+    assert _sample_counts(3, 5, fair_probs(2), rng) == (1, 1, 1, 0)
 
 
 def test_mc_tree_sample_c2_identity():
     rng = np.random.default_rng(1)
     sched = fair_probs(2)
     for _ in range(500):
-        s = an.mc_tree_sample(40, 3, sched, rng)
-        assert s.psr_recoveries == s.epsr_recoveries
-        assert s.epsr_sketches <= s.epsr_recoveries
+        n, t, u, _ = _sample_counts(40, 3, sched, rng)
+        assert n == u
+        assert t <= u
 
 
 def test_mc_batch_c2_identity_and_dominance():
@@ -94,7 +117,7 @@ def test_mc_batch_c2_identity_and_dominance():
 def test_mc_batch_matches_single_sampler():
     sched = round_optimal_probs(3)
     rng1 = np.random.default_rng(3)
-    singles = np.array([an.mc_tree_sample(40, 4, sched, rng1) for _ in range(4000)])
+    singles = np.array([_sample_counts(40, 4, sched, rng1) for _ in range(4000)])
     rng2 = np.random.default_rng(4)
     batch = an.mc_sample_batch(40, 4, sched, 4000, rng2)
     for i, key in enumerate(("n", "t", "u", "depth")):
@@ -114,30 +137,29 @@ def test_mc_batch_matches_recursion():
         assert abs(arr.mean() - table[60]) < 4 * se, key
 
 
+def _csv_rows(delta_max, mbar, gamma, bits):
+    buf = io.StringIO()
+    an.write_metrics_csv(buf, delta_max, mbar, gamma, bits, fair_probs(2))
+    header, *lines = buf.getvalue().splitlines()
+    return [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+
+
 def test_redundancy_and_normalized_complexity():
-    assert an.redundancy(1.0, 25, 25, 1, 64) == pytest.approx(1.09625, abs=1e-12)
-    assert an.normalized_complexity(1.0, 10, 10) == pytest.approx(1.0)
-    assert an.normalized_complexity(11 / 3, 3, 2) == pytest.approx(22 / 9, rel=1e-12)
-    with pytest.raises(ValueError):
-        an.redundancy(1.0, 0, 25, 1, 64)
-    with pytest.raises(ValueError):
-        an.normalized_complexity(1.0, 0, 25)
-
-
-def test_round_bounds():
-    rb = an.round_bounds(fair_probs(2))
-    assert rb.lam == pytest.approx(1 / math.log(2), rel=1e-12)
-    assert rb.lam_star == pytest.approx(1 / math.log(2), rel=1e-12)
-    assert rb.q_max == pytest.approx(0.5)
-    assert rb.p_star == (0.5,)
-
-    rb = an.round_bounds(round_optimal_probs(5))
-    assert all(p == pytest.approx(0.5, rel=1e-12) for p in rb.p_star)
-    assert rb.lam_star == pytest.approx(1 / math.log(2), rel=1e-12)
-
-    rb = an.round_bounds(PartitionSchedule((Fraction(7, 10), Fraction(3, 10))))
-    assert rb.lam == pytest.approx(-1 / math.log(0.7), rel=1e-12)
-    assert rb.q_max == pytest.approx(0.7)
+    # redundancy = sketches * wire cost / (d * bits); normalized complexity
+    # = recoveries * mbar / d; the rows start at d = 1, where both are defined
+    rows = _csv_rows(30, 25, 1, 64)
+    assert rows[0]["delta"] == 1
+    at25 = rows[24]
+    assert at25["delta"] == 25 and at25["n_bar"] == 1
+    assert at25["redundancy_psr"] == pytest.approx(1.09625, abs=1e-12)
+    assert at25["redundancy_epsr"] == pytest.approx(1.09625, abs=1e-12)
+    assert at25["norm_complexity_psr"] == pytest.approx(1.0)
+    at10 = rows[9]
+    assert at10["norm_complexity_psr"] == pytest.approx(2.5)  # 1 * 25 / 10
+    at3 = _csv_rows(3, 2, 1, 8)[2]  # N_3 = U_3 = 11/3, T_3 = 7/3 at mbar 2
+    assert at3["norm_complexity_psr"] == pytest.approx(22 / 9, rel=1e-11)
+    assert at3["norm_complexity_epsr"] == pytest.approx(22 / 9, rel=1e-11)
+    assert at3["redundancy_epsr"] == pytest.approx(7 / 3 * 35 / 24, rel=1e-11)
 
 
 def test_depth_slope_near_lambda():

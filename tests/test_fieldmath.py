@@ -8,6 +8,22 @@ from setrecon import fieldmath as fm
 from setrecon import sketch as sk
 
 
+def poly_from_roots(roots, q):
+    out = [1]
+    for r in roots:
+        out = fm.poly_mul(out, [(-r) % q, 1], q)
+    return out
+
+
+def poly_add(a, b, q):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % q
+    return fm.poly_trim(out)
+
+
 def reference_poly_pow_mod(base, e, mod, q):
     """Right-to-left square-and-multiply with schoolbook reduction, as first
     written; poly_pow_mod must return exactly the same list."""
@@ -127,14 +143,14 @@ def test_poly_divmod_roundtrip():
         b = _rand_poly(rng, rng.randrange(0, 6), q)
         quot, rem = fm.poly_divmod(a, b, q)
         assert len(rem) < len(b) or not rem
-        assert fm.poly_add(fm.poly_mul(quot, b, q), rem, q) == fm.poly_trim(list(a))
+        assert poly_add(fm.poly_mul(quot, b, q), rem, q) == fm.poly_trim(list(a))
 
 
 def test_poly_gcd_common_factor():
     rng = random.Random(2)
     q = 101
     for _ in range(30):
-        f = fm.poly_from_roots([rng.randrange(q) for _ in range(3)], q)
+        f = poly_from_roots([rng.randrange(q) for _ in range(3)], q)
         g = _rand_poly(rng, 2, q)
         h = _rand_poly(rng, 2, q)
         got = fm.poly_gcd(fm.poly_mul(f, g, q), fm.poly_mul(f, h, q), q)
@@ -173,7 +189,7 @@ def test_find_distinct_roots_recovers_exact_sets():
     for _ in range(60):
         k = rng.randrange(0, 8)
         roots = rng.sample(range(q), k)
-        f = fm.poly_from_roots(roots, q)
+        f = poly_from_roots(roots, q)
         got = fm.find_distinct_roots(f, q, random.Random(1))
         assert got is not None and sorted(got) == sorted(roots)
 
@@ -182,13 +198,13 @@ def test_find_distinct_roots_rejects_non_split():
     q = 1009
     rng = random.Random(4)
     # repeated root
-    f = fm.poly_mul(fm.poly_from_roots([5, 5], q), fm.poly_from_roots([9], q), q)
+    f = fm.poly_mul(poly_from_roots([5, 5], q), poly_from_roots([9], q), q)
     assert fm.find_distinct_roots(f, q, rng) is None
     # irreducible quadratic: x^2 - n for a non-residue n
     n = next(a for a in range(2, q) if fm.sqrt_mod(a, q) is None)
     assert fm.find_distinct_roots([(-n) % q, 0, 1], q, rng) is None
     # linear factor times irreducible quadratic
-    f = fm.poly_mul([(-n) % q, 0, 1], fm.poly_from_roots([7], q), q)
+    f = fm.poly_mul([(-n) % q, 0, 1], poly_from_roots([7], q), q)
     assert fm.find_distinct_roots(f, q, rng) is None
     # zero polynomial
     assert fm.find_distinct_roots([], q, rng) is None
@@ -255,9 +271,9 @@ def test_find_distinct_roots_matches_reference(q, data):
         k = data.draw(st.integers(kind == "repeated", min(q, 30)))
         pool = st.one_of(st.integers(0, q - 1), st.sampled_from((0, 1, q - 1)))
         roots = data.draw(st.lists(pool, min_size=k, max_size=k, unique=True))
-        f = fm.poly_from_roots(roots, q)
+        f = poly_from_roots(roots, q)
         if kind == "repeated":
-            f = fm.poly_mul(f, fm.poly_from_roots(roots[:1], q), q)
+            f = fm.poly_mul(f, poly_from_roots(roots[:1], q), q)
         if kind == "irreducible":
             n = next((a for a in range(2, q) if fm.sqrt_mod(a, q) is None), None)
             f = fm.poly_mul(f, [1, 1, 1] if q == 2 else [(-n) % q, 0, 1], q)
@@ -266,8 +282,6 @@ def test_find_distinct_roots_matches_reference(q, data):
     seed = data.draw(st.integers(0, 2**32))
     got = fm.find_distinct_roots(f, q, random.Random(seed))
     assert _same_roots(got, reference_find_distinct_roots(f, q, random.Random(seed)))
-    if q == 2:
-        return  # the quadratic formula halves, so over F_2 only agreement is checked
     if kind == "split":
         assert got is not None and len(got) == len(f) - 1
     elif kind != "random":
@@ -283,15 +297,27 @@ def test_find_distinct_roots_degree_sweep(q):
     quad = [1, 1, 1] if q == 2 else [(-n) % q, 0, 1]
     for deg in (1, 2, 3, 4, 5, 8, 13, 21, 30):
         roots = [0, q - 1][:deg] + [rng.randrange(q) for _ in range(deg - 2)]
-        f = fm.poly_mul_scalar(fm.poly_from_roots(roots, q), rng.randrange(1, q), q)
+        f = fm.poly_mul_scalar(poly_from_roots(roots, q), rng.randrange(1, q), q)
         split = len(set(roots)) == deg
         for g, splits in ((f, split), (fm.poly_mul(f, quad, q), False),
                           (fm.poly_mul(f, [(-roots[-1]) % q, 1], q), False)):
             got = fm.find_distinct_roots(g, q, random.Random(deg))
             assert _same_roots(got, reference_find_distinct_roots(g, q, random.Random(deg)))
-            if q > 2:  # as above, over F_2 only agreement is checked
-                assert (got is not None) == splits
-                assert not splits or sorted(got) == sorted(roots)
+            assert (got is not None) == splits
+            assert not splits or sorted(got) == sorted(roots)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_quadratic_roots_exhaustive_small_fields(q):
+    # Every monic quadratic against its brute-force roots: two distinct
+    # roots, or None for a double root or an irreducible one.
+    for b in range(q):
+        for c in range(q):
+            roots = [r for r in range(q) if (r * r + b * r + c) % q == 0]
+            want = roots if len(roots) == 2 else None
+            assert _same_roots(fm._quadratic_roots([c, b, 1], q), want), (b, c)
+            got = fm.find_distinct_roots([c, b, 1], q, random.Random(q))
+            assert _same_roots(got, want), (b, c)
 
 
 @pytest.mark.parametrize("q,deg", [(2, 3), (2, 4), (2, 6), (3, 3), (3, 4), (5, 3), (5, 4), (7, 3)])
@@ -312,7 +338,7 @@ def test_find_distinct_roots_one_full_degree_exponentiation(monkeypatch):
     # full degree (the reference makes two, Z^q and its first split).
     q = 1009
     roots = [1, 3, 5, 7, 11, 0]
-    f = fm.poly_from_roots(roots, q)
+    f = poly_from_roots(roots, q)
     calls = []
     real = fm.poly_pow_mod
     monkeypatch.setattr(fm, "poly_pow_mod", lambda *args: calls.append(args) or real(*args))

@@ -1,11 +1,12 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from setrecon import netsim
 from setrecon import protocol as proto
-from setrecon.partition import fair_probs
+from setrecon.partition import PartitionSchedule, fair_probs, round_optimal_probs
 from setrecon.sketch import wire_cost
 
 
@@ -25,6 +26,41 @@ def _tree_counts(node, mbar, c):
     u = (1 if h < c else 0) + h - (1 if h == c else 0) + sum(subs[k][2] for k in range(h))
     depth = 1 + max(s[3] for s in subs)
     return n, t, u, depth
+
+
+def _tree_from_words(words, mbar, c, depth=0):
+    """Placement tree induced by explicit path words."""
+    words = list(words)
+    if len(words) <= mbar:
+        return netsim.PlacementNode(len(words))
+    return netsim.PlacementNode(len(words), tuple(
+        _tree_from_words([w for w in words if w[depth] == j], mbar, c, depth + 1)
+        for j in range(c)
+    ))
+
+
+def _reference_sample_tree(delta, mbar, schedule, rng):
+    """The recursive sampler as first written; the iterative one must draw
+    the same multinomials in the same order."""
+    probs = schedule.as_floats()
+
+    def go(count):
+        if count <= mbar:
+            return netsim.PlacementNode(count)
+        parts = rng.multinomial(count, probs)
+        return netsim.PlacementNode(count, tuple(go(int(x)) for x in parts))
+
+    return go(delta)
+
+
+def _preorder(tree):
+    """(count, depth, number of children) per node, walked without recursion."""
+    out, stack = [], [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        out.append((node.count, depth, len(node.children)))
+        stack.extend((ch, depth + 1) for ch in reversed(node.children))
+    return out
 
 
 def _words_for_tree(node, path=()):
@@ -76,15 +112,10 @@ def test_deterministic_event_logs():
 
 
 def test_event_log_dump(tmp_path):
-    import io
-
     r = netsim.run_trial("psr", netsim.PlacementNode(1),
                          netsim.SCENARIO_PRESETS["I"], collect_log=True)
-    buf = io.StringIO()
-    netsim.write_event_log(buf, r.log)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "0,request_sent,-"
-    assert lines[-1] == f"{round(32.43363 * 1e6)},recovery_finished,-"
+    assert r.log[0] == (0, "request_sent", "-")
+    assert r.log[-1] == (round(32.43363 * 1e6), "recovery_finished", "-")
 
 
 def test_preset_values_exact():
@@ -192,8 +223,6 @@ def test_conservation_and_equivalence_with_protocol_engines():
 def test_conservation_c3_sequential_splits():
     # ternary schedule exercises the simulator's sequential child requests
     # and the skip handling of the last child
-    from setrecon.partition import round_optimal_probs
-
     sched = round_optimal_probs(3)
     rng = np.random.default_rng(21)
     sc = replace(
@@ -237,13 +266,44 @@ def test_scenario_ii_core_halving_and_iii_insensitivity():
 
 
 def test_tree_from_words_matches_worked_example():
-    tree = netsim.tree_from_words(proto.WORKED_EXAMPLE_WORDS.values(), 2, 2)
+    tree = _tree_from_words(proto.WORKED_EXAMPLE_WORDS.values(), 2, 2)
     assert tree.count == 9
     left, right = tree.children
     assert (left.count, right.count) == (5, 4)
     assert [c.count for c in left.children] == [2, 3]
     assert [c.count for c in right.children] == [0, 4]
     assert _tree_counts(tree, 2, 2) == (11, 6, 11, 3)
+    # the simulator reproduces the fig2/fig3 engine metrics on this tree
+    sc = replace(netsim.SCENARIO_PRESETS["I"], element_bits=16, mbar=2, gamma=1)
+    for protocol, metrics in (("psr", (11, 11, 4)), ("epsr", (6, 11, 4))):
+        sim = netsim.run_trial(protocol, tree, sc)
+        assert (sim.sketches_transmitted, sim.recovery_calls, sim.rounds) == metrics
+
+
+@pytest.mark.parametrize("schedule,delta,mbar", [
+    (fair_probs(2), 1000, 50), (fair_probs(2), 10_000, 50),
+    (round_optimal_probs(4), 3000, 9), (fair_probs(3), 400, 1), (fair_probs(2), 7, 9),
+])
+def test_sample_placement_tree_matches_recursive_reference(schedule, delta, mbar):
+    for seed in range(5):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            tree = netsim.sample_placement_tree(delta, mbar, schedule, rng)
+            assert _preorder(tree) == _preorder(_reference_sample_tree(delta, mbar, schedule, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_sample_placement_tree_deep_skewed():
+    # about a thousand levels: deeper than a recursive walk can go.  The
+    # tree is checked by an iterative walk, since dataclass == and repr
+    # recurse too.
+    sched = PartitionSchedule((Fraction(99, 100), Fraction(1, 100)))
+    tree = netsim.sample_placement_tree(20_000, 1, sched, np.random.default_rng(0))
+    nodes = _preorder(tree)
+    assert sum(count for count, _, kids in nodes if not kids) == 20_000
+    assert all(count <= 1 for count, _, kids in nodes if not kids)
+    assert all(kids in (0, 2) for _, _, kids in nodes)
+    assert max(depth for _, depth, _ in nodes) > 800
 
 
 def test_sweep_csv(tmp_path):

@@ -34,6 +34,15 @@ def reference_word(schedule, key: Fraction, depth: int) -> tuple[int, ...]:
     return tuple(word)
 
 
+def reference_interval(schedule, path) -> tuple[Fraction, Fraction]:
+    """Bounds [lo, hi) of the points of [0, 1) whose word starts with path."""
+    cum = schedule.cumulative()
+    lo, width = Fraction(0), Fraction(1)
+    for j in path:
+        lo, width = lo + cum[j] * width, schedule.probs[j] * width
+    return lo, lo + width
+
+
 EXACTNESS_SCHEDULES = (
     pt.fair_probs(2),
     pt.round_optimal_probs(3),
@@ -62,44 +71,6 @@ def test_round_optimal_probs():
     )
     for c in range(2, 33):
         assert sum(pt.round_optimal_probs(c).probs) == 1
-
-
-def test_split_examples():
-    root = pt.root_interval()
-    fair = pt.fair_probs(2)
-    left, right = root.split(fair)
-    assert (left.lo, left.hi, left.path) == (0, Fraction(1, 2), (0,))
-    assert (right.lo, right.hi, right.path) == (Fraction(1, 2), 1, (1,))
-
-    sched3 = pt.schedule_from_strings(["1/2", "1/4", "1/4"])
-    kids = root.split(sched3)
-    assert [(k.lo, k.hi) for k in kids] == [
-        (0, Fraction(1, 2)),
-        (Fraction(1, 2), Fraction(3, 4)),
-        (Fraction(3, 4), 1),
-    ]
-
-    sub = pt.PartitionInterval(Fraction(1, 2), Fraction(1), (1,))
-    kids = sub.split(fair)
-    assert [(k.lo, k.hi) for k in kids] == [
-        (Fraction(1, 2), Fraction(3, 4)),
-        (Fraction(3, 4), 1),
-    ]
-
-
-def test_exact_tiling():
-    rng = random.Random(0)
-    for sched, depth in ((pt.fair_probs(2), 12), (pt.round_optimal_probs(3), 6)):
-        leaves = [pt.root_interval()]
-        for _ in range(depth):
-            leaves = [child for leaf in leaves for child in leaf.split(sched)]
-        assert leaves[0].lo == 0 and leaves[-1].hi == 1
-        for a, b in zip(leaves, leaves[1:]):
-            assert a.hi == b.lo  # no gaps, no overlaps
-        # every key lands in exactly one leaf
-        for _ in range(50):
-            key = Fraction(rng.getrandbits(64), 1 << 64)
-            assert sum(leaf.contains(key) for leaf in leaves) == 1
 
 
 def test_key_of_determinism_and_range():
@@ -150,11 +121,9 @@ def test_path_word_roundtrip():
     rng = random.Random(5)
     for _ in range(100):
         path = tuple(rng.randrange(3) for _ in range(rng.randrange(7)))
-        interval = pt.interval_for_path(sched, path)
-        assert interval.path == path
+        lo, hi = reference_interval(sched, path)
         # any key inside the interval maps back to the same word
-        span = interval.hi - interval.lo
-        key = interval.lo + span * Fraction(rng.getrandbits(32), 1 << 33)
+        key = lo + (hi - lo) * Fraction(rng.getrandbits(32), 1 << 33)
         assert (key * KEY_SPACE).denominator == 1  # exact at 64 bits
         assert pt.word_of_key(sched, int(key * KEY_SPACE), len(path)) == path
 
@@ -163,23 +132,6 @@ def test_word_of_key_boundary():
     sched = pt.fair_probs(2)
     assert pt.word_of_key(sched, KEY_SPACE // 2, 1) == (1,)
     assert pt.word_of_key(sched, 0, 3) == (0, 0, 0)
-
-
-def test_locate_matches_word():
-    sched = pt.schedule_from_strings(["0.15", "0.1", "0.25", "0.2", "0.3"])
-    rng = random.Random(6)
-    for _ in range(50):
-        key = rng.getrandbits(64)
-        j, child = pt.root_interval().locate(Fraction(key, KEY_SPACE), sched)
-        assert pt.word_of_key(sched, key, 1) == (j,)
-        assert child.contains(Fraction(key, KEY_SPACE))
-
-
-def test_interval_validation():
-    with pytest.raises(ValueError):
-        pt.PartitionInterval(Fraction(1, 2), Fraction(1, 2), ())
-    with pytest.raises(ValueError):
-        pt.interval_for_path(pt.fair_probs(2), (2,))
 
 
 @settings(max_examples=400, deadline=None)
@@ -202,14 +154,14 @@ def test_integer_word_exact_at_child_boundaries(schedule, data):
     path = tuple(data.draw(st.lists(st.integers(0, schedule.c - 1),
                                     min_size=depth - 1, max_size=depth - 1)))
     j = data.draw(st.integers(1, schedule.c - 1))
-    node = pt.interval_for_path(schedule, path)
+    lo, hi = reference_interval(schedule, path)
     cum = schedule.cumulative()
-    boundary = node.lo + cum[j] * node.measure
+    boundary = lo + cum[j] * (hi - lo)
     first = -(-boundary.numerator * KEY_SPACE // boundary.denominator)  # ceil
     for key in (first - 1, first, first + 1):
         if 0 <= key < KEY_SPACE:
             assert pt.word_of_key(schedule, key, depth) == reference_word(
                 schedule, Fraction(key, KEY_SPACE), depth)
-    if Fraction(first, KEY_SPACE) < node.lo + cum[j + 1] * node.measure:
+    if Fraction(first, KEY_SPACE) < lo + cum[j + 1] * (hi - lo):
         # the child holds a key: the first one is placed in it
         assert pt.word_of_key(schedule, first, depth) == path + (j,)
