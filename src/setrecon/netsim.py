@@ -6,11 +6,12 @@ precomputed at B, then occupy the B->A link (a FIFO queue draining at the
 configured throughput) for their serialization time, and finally incur
 the one-way latency again (store-and-forward).  Recoveries at A are jobs
 of fixed duration on a multi-server FIFO CPU; every other computing step
-takes zero time.  Recovery on a partition succeeds iff its difference
-count is at most mbar, so trials run on abstract placement trees rather
-than field arithmetic.  `sample_placement_tree` draws one such tree; it is
-the package's only per-tree sampler (`analysis.mc_sample_batch` draws
-trees in bulk).
+takes zero time.  A trial runs the protocol's engine from `protocol` on
+an abstract placement tree, where a sketch is a difference count that
+recovers iff it is at most mbar, and times the engine's fetches and
+recoveries.  `sample_placement_tree` draws one such tree; it is the
+package's only per-tree sampler (`analysis.mc_sample_batch` draws trees
+in bulk).
 
 All times are integer nanoseconds internally; results are reported in
 milliseconds.  Identical (protocol, tree, scenario) inputs produce
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .partition import PartitionSchedule, fair_probs
+from .protocol import ENGINES
 from .sketch import wire_cost
 
 _NS_PER_MS = 1_000_000
@@ -113,9 +115,10 @@ def load_scenario(source) -> ScenarioConfig:
 # Placement trees.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PlacementNode:
-    """Difference counts of one partition and, when it splits, its children."""
+    """Difference counts of one partition and, when it splits, its children.
+    Nodes compare by identity, since a tree may be deeper than recursion."""
 
     count: int
     children: tuple["PlacementNode", ...] = ()
@@ -163,153 +166,107 @@ class TrialResult:
     log: list[tuple[int, str, str]] | None = None
 
 
-class _Sim:
-    def __init__(self, scenario: ScenarioConfig, collect_log: bool):
-        self.sc = scenario
-        self.events: list[tuple[int, int, object, object]] = []
-        self.seq = 0
-        self.link_free = 0
-        self.cores = [0] * scenario.n_cores
-        heapq.heapify(self.cores)
+class _Piece:
+    """A count-only difference sketch: the node it was fetched for and its
+    depth (a residual keeps its parent's, also when it is the last child's
+    sketch), its count, the action delivering it and its recovery."""
+
+    __slots__ = ("node", "depth", "count", "ready", "recovery")
+
+    def __init__(self, node: PlacementNode, depth: int, count: int, ready):
+        self.node, self.depth, self.count, self.ready = node, depth, count, ready
+
+
+class _TreeRun:
+    """A protocol engine's run on a placement tree.  Each fetch and each
+    recovery is recorded as an action (is_fetch, log label, actions it
+    issues) under the action whose completion issues it."""
+
+    def __init__(self, tree: PlacementNode, mbar: int, collect_log: bool):
+        self.mbar = mbar
+        self.collect_log = collect_log
+        # stands before the root: its "recovery" issues the root fetch at time 0
+        self.origin = _Piece(tree, 0, tree.count, None)
+        self.origin.recovery = (False, None, [])
         self.tx = 0
         self.recoveries = 0
         self.max_tx_depth = 0
-        self.finished_at = 0
-        self.log: list[tuple[int, str, str]] | None = [] if collect_log else None
 
-    def emit(self, t: int, event: str, path: str) -> None:
-        if self.log is not None:
-            self.log.append((t, event, path))
+    def _record(self, cause, is_fetch: bool, path) -> tuple:
+        label = (".".join(map(str, path)) or "-") if self.collect_log else None
+        action = (is_fetch, label, [])
+        cause[2].append(action)
+        return action
 
-    def schedule(self, t: int, fn, arg) -> None:
-        heapq.heappush(self.events, (t, self.seq, fn, arg))
-        self.seq += 1
-
-    def send_request(self, t: int, node, on_reply) -> None:
-        """A->B request followed by the FIFO-serialized B->A reply."""
-        sc = self.sc
+    def fetch(self, path, after) -> _Piece:
+        after = after or self.origin
+        node = after.node
+        for j in path[after.depth:]:
+            node = node.children[j]
         self.tx += 1
-        self.max_tx_depth = max(self.max_tx_depth, node.depth)
-        self.emit(t, "request_sent", node.path_str)
-        at_b = t + sc.latency_ns
-        start = max(self.link_free, at_b)
-        self.emit(at_b, "reply_enqueued", node.path_str)
-        self.link_free = start + sc.serialization_ns
-        arrive = self.link_free + sc.latency_ns
-        self.emit(arrive, "reply_delivered", node.path_str)
-        self.schedule(arrive, on_reply, node)
+        self.max_tx_depth = max(self.max_tx_depth, len(path))
+        return _Piece(node, len(path), node.count, self._record(after.recovery, True, path))
 
-    def run_cpu_job(self, t: int, path_str: str, on_done, arg) -> None:
-        """Recovery job on the first free core, FIFO by creation order."""
-        sc = self.sc
+    def subtract(self, z: _Piece, z_child: _Piece) -> _Piece:
+        # z_child was requested after z's recovery failed, so it arrives last.
+        return _Piece(z.node, z.depth, z.count - z_child.count, z_child.ready)
+
+    def recover(self, path, z: _Piece) -> bool:
         self.recoveries += 1
-        start = max(t, heapq.heappop(self.cores))
-        finish = start + sc.recovery_ns
-        heapq.heappush(self.cores, finish)
-        self.emit(start, "recovery_started", path_str)
-        self.emit(finish, "recovery_finished", path_str)
-        self.finished_at = max(self.finished_at, finish)
-        self.schedule(finish, on_done, arg)
-
-    def loop(self) -> None:
-        while self.events:
-            t, _, fn, arg = heapq.heappop(self.events)
-            fn(t, arg)
+        z.recovery = self._record(z.ready, False, path)
+        return z.count <= self.mbar
 
 
-class _SimNode:
-    __slots__ = ("node", "path", "depth", "parent", "next_child", "removed")
-
-    def __init__(self, node: PlacementNode, path: tuple[int, ...],
-                 parent: "_SimNode | None" = None):
-        self.node = node
-        self.path = path
-        self.depth = len(path)
-        self.parent = parent
-        self.next_child = 0  # EPSR: next child index to request
-        self.removed = 0  # EPSR: differences subtracted out of the residual
-
-    @property
-    def path_str(self) -> str:
-        return ".".join(str(j) for j in self.path) if self.path else "-"
-
-    def child(self, j: int) -> "_SimNode":
-        return _SimNode(self.node.children[j], self.path + (j,), parent=self)
+def _clock(start, sc: ScenarioConfig, log: list | None) -> int:
+    """Times an action graph on the module's link and cores; returns when
+    the last recovery finishes.  Completions at the same time, and the
+    actions one completion issues, are taken in the order they were issued."""
+    latency, serialization, recovery = sc.latency_ns, sc.serialization_ns, sc.recovery_ns
+    cores = [0] * sc.n_cores
+    events = [(0, 0, start)]
+    seq = link_free = 0
+    while events:
+        t, _, (_, _, issued) = heapq.heappop(events)
+        for action in issued:
+            is_fetch, label, _ = action
+            if is_fetch:
+                at_b = t + latency
+                link_free = max(link_free, at_b) + serialization
+                done = link_free + latency
+                if log is not None:
+                    log += [(t, "request_sent", label), (at_b, "reply_enqueued", label),
+                            (done, "reply_delivered", label)]
+            else:
+                begin = max(t, heapq.heappop(cores))
+                done = begin + recovery
+                heapq.heappush(cores, done)
+                if log is not None:
+                    log += [(begin, "recovery_started", label),
+                            (done, "recovery_finished", label)]
+            seq += 1
+            heapq.heappush(events, (done, seq, action))
+    return max(cores)
 
 
 def run_trial(protocol: str, tree: PlacementNode, scenario: ScenarioConfig,
               collect_log: bool = False) -> TrialResult:
-    """Simulate one full reconciliation; returns the completion time of the
-    last recovery along with the communication counters."""
-    if protocol not in ("psr", "epsr"):
+    """Simulate one full reconciliation: runs the protocol's engine on the
+    tree and times the actions it takes.  Returns the completion time of
+    the last recovery along with the communication counters."""
+    if protocol not in ENGINES:
         raise ValueError("protocol must be 'psr' or 'epsr'")
-    sim = _Sim(scenario, collect_log)
-    mbar = scenario.mbar
-    c = scenario.schedule.c
-
-    if protocol == "psr":
-
-        def on_reply(t, sn: _SimNode):
-            sim.run_cpu_job(t, sn.path_str, on_recovered, sn)
-
-        def on_recovered(t, sn: _SimNode):
-            if sn.node.count > mbar:
-                for j in range(c):
-                    sim.send_request(t, sn.child(j), on_reply)
-
-        sim.send_request(0, _SimNode(tree, ()), on_reply)
-    else:
-
-        def start_split(t, sn: _SimNode):
-            sim.send_request(t, sn.child(sn.next_child), on_child_reply)
-
-        def on_child_reply(t, child: _SimNode):
-            parent = child.parent
-            # The child recovery is enqueued before the residual recovery
-            # created by the same reply (fixed, documented tie-break).
-            sim.run_cpu_job(t, child.path_str, on_child_recovered, child)
-            parent.removed += child.node.count
-            sim.run_cpu_job(t, parent.path_str, on_residual_recovered, parent)
-
-        def on_child_recovered(t, child: _SimNode):
-            if child.node.count > mbar:
-                start_split(t, child)
-
-        def on_residual_recovered(t, parent: _SimNode):
-            if parent.node.count - parent.removed <= mbar:
-                return  # residual success resolves all remaining children
-            parent.next_child += 1
-            if parent.next_child < c - 1:
-                start_split(t, parent)
-            else:
-                # The last child reuses the residual: no transmission and
-                # no extra recovery call, since its failure is the residual
-                # failure just observed.  It always holds > mbar here.
-                last = parent.child(c - 1)
-                assert last.node.count > mbar
-                start_split(t, last)
-
-        def on_root_reply(t, sn: _SimNode):
-            sim.run_cpu_job(t, sn.path_str, on_root_recovered, sn)
-
-        def on_root_recovered(t, sn: _SimNode):
-            if sn.node.count > mbar:
-                start_split(t, sn)
-
-        sim.send_request(0, _SimNode(tree, ()), on_root_reply)
-
-    sim.loop()
-    log = sim.log
+    run = _TreeRun(tree, scenario.mbar, collect_log)
+    ENGINES[protocol](run, scenario.schedule.c)
+    log = [] if collect_log else None
+    finished = _clock(run.origin.recovery, scenario, log)
     if log is not None:
-        log = sorted(enumerate(log), key=lambda kv: (kv[1][0], kv[0]))
-        log = [record for _, record in log]
-    bits = sim.tx * scenario.sketch_bits
+        log.sort(key=lambda record: record[0])  # stable: ties keep issue order
     return TrialResult(
-        total_ms=sim.finished_at / _NS_PER_MS,
-        sketches_transmitted=sim.tx,
-        recovery_calls=sim.recoveries,
-        bits_b_to_a=bits,
-        rounds=sim.max_tx_depth + 1,
+        total_ms=finished / _NS_PER_MS,
+        sketches_transmitted=run.tx,
+        recovery_calls=run.recoveries,
+        bits_b_to_a=run.tx * scenario.sketch_bits,
+        rounds=run.max_tx_depth + 1,
         log=log,
     )
 

@@ -3,22 +3,31 @@
 Node A (the caller) reconciles its set against node B, reachable only
 through a request/reply transport: A sends a partition path word, B
 replies with the serialized sketch of its elements in that partition.
-Two engines are provided:
+Each protocol is written once, as an engine that drives a run through
+three calls: `fetch(path, after)` returns the difference sketch of the
+partition at `path`, where `after` is the sketch whose failed recovery
+issued the request (None for the root); `subtract(z, z_child)` takes a
+child's sketch out of its parent's; `recover(path, z)` says whether the
+recovery of `z` succeeded.  `ENGINES` names the two engines:
 
-* `psr_reconcile` requests a sketch for every partition it visits.
-* `epsr_reconcile` requests sketches only for the first children of each
+* `psr_engine` requests a sketch for every partition it visits.
+* `epsr_engine` requests sketches only for the first children of each
   split and derives the remaining child by subtracting the transmitted
   ones from the parent sketch, halving communication.
 
-Both engines count sketches transmitted, recovery calls, communication
-rounds (1 + deepest transmitted partition), and B->A bits, where one
-sketch always costs (mbar+gamma+1)(element_bits+1)-1 bits regardless of
-its actual serialized size.  A->B requests are free by convention.
+`psr_reconcile`, `epsr_reconcile` and `reconcile` run the engines on real
+sketches over a transport; `netsim.run_trial` runs the same engines on
+difference counts and times what they do.  A run counts sketches
+transmitted, recovery calls, communication rounds (1 + deepest
+transmitted partition), and B->A bits, where one sketch always costs
+(mbar+gamma+1)(element_bits+1)-1 bits regardless of its actual
+serialized size.  A->B requests are free by convention.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import sketch as sk
@@ -48,7 +57,7 @@ class ProtocolConfig:
     protocol: str = "psr"
 
     def __post_init__(self):
-        if self.protocol not in ("psr", "epsr"):
+        if self.protocol not in ENGINES:
             raise ValueError("protocol must be 'psr' or 'epsr'")
 
     @property
@@ -247,7 +256,8 @@ def make_loopback(set_b, config: ProtocolConfig, placement=None,
 
 
 class _Run:
-    """Shared per-run state of either engine."""
+    """The loopback run of an engine: real sketches, A's side subtracted from
+    each of B's replies, and the merge of every recovered piece."""
 
     def __init__(self, set_a, transport, config: ProtocolConfig, placement):
         self.config = config
@@ -261,9 +271,10 @@ class _Run:
         self.recoveries = 0
         self.max_tx_depth = 0
 
-    def fetch(self, path: tuple[int, ...]) -> sk.SRSketch:
+    def fetch(self, path: tuple[int, ...], after) -> sk.SRSketch:
         if len(path) > _MAX_DEPTH:
             raise ProtocolError("partition tree too deep; placement not separating")
+        za = self.index.sketch(path)
         blob = self.transport.request(self.fingerprint, path)
         try:
             zb = sk.from_bytes(blob)
@@ -273,24 +284,25 @@ class _Run:
             raise ProtocolError("reply sketch configuration mismatch")
         self.tx += 1
         self.max_tx_depth = max(self.max_tx_depth, len(path))
-        return zb
+        return sk.subtract(za, zb)
 
-    def diff_sketch(self, path: tuple[int, ...]) -> sk.SRSketch:
-        return sk.subtract(self.index.sketch(path), self.fetch(path))
+    def subtract(self, z: sk.SRSketch, z_child: sk.SRSketch) -> sk.SRSketch:
+        return sk.subtract(z, z_child)
 
-    def recover(self, z: sk.SRSketch) -> sk.RecoveryOutcome:
+    def recover(self, path: tuple[int, ...], z: sk.SRSketch) -> bool:
         self.recoveries += 1
-        return sk.recover(z)
+        outcome = sk.recover(z)
+        if outcome.flag:
+            # Recovered pieces come from disjoint partitions (or disjoint
+            # residuals) and must never overlap.
+            if (self.a_only & outcome.recovered_a) or (self.b_only & outcome.recovered_b):
+                raise ProtocolError("overlapping recoveries; inconsistent replies")
+            self.a_only |= outcome.recovered_a
+            self.b_only |= outcome.recovered_b
+        return outcome.flag
 
-    def merge(self, outcome: sk.RecoveryOutcome) -> None:
-        # Recovered pieces come from disjoint partitions (or disjoint
-        # residuals) and must never overlap.
-        if (self.a_only & outcome.recovered_a) or (self.b_only & outcome.recovered_b):
-            raise ProtocolError("overlapping recoveries; inconsistent replies")
-        self.a_only |= outcome.recovered_a
-        self.b_only |= outcome.recovered_b
-
-    def finish(self) -> tuple[ReconcileResult, ReconcileMetrics]:
+    def drive(self, engine) -> tuple[ReconcileResult, ReconcileMetrics]:
+        engine(self, self.config.schedule.c)
         bits = self.tx * sk.wire_cost(
             self.config.mbar, self.config.gamma, self.config.element_bits
         )
@@ -298,67 +310,68 @@ class _Run:
         return result, ReconcileMetrics(self.tx, self.recoveries, self.max_tx_depth + 1, bits)
 
 
-def psr_reconcile(set_a, transport, config: ProtocolConfig, placement=None):
-    """Reconcile by requesting one sketch per visited partition.
-
-    Every failed recovery splits the partition and requests all c children
-    in the next round; every request is followed by exactly one recovery.
-    """
-    run = _Run(set_a, transport, config, placement)
-    c = config.schedule.c
-    pending: list[tuple[int, ...]] = [()]
-    while pending:
-        next_pending: list[tuple[int, ...]] = []
-        for path in pending:
-            outcome = run.recover(run.diff_sketch(path))
-            if outcome.flag:
-                run.merge(outcome)
-            else:
-                next_pending.extend(path + (j,) for j in range(c))
-        pending = next_pending
-    return run.finish()
+def psr_engine(run, c: int) -> None:
+    """Per-partition reconciliation, in level order: every failed recovery
+    splits the partition and requests all c children in the next round;
+    every request is followed by exactly one recovery."""
+    queue: deque[tuple[tuple[int, ...], object]] = deque([((), None)])
+    while queue:
+        path, after = queue.popleft()
+        z = run.fetch(path, after)
+        if not run.recover(path, z):
+            queue.extend((path + (j,), z) for j in range(c))
 
 
-def epsr_reconcile(set_a, transport, config: ProtocolConfig, placement=None):
-    """Reconcile reusing each parent sketch for its last child.
+def epsr_engine(run, c: int) -> None:
+    """Reconciliation reusing each parent sketch for its last child.
 
-    At a split, children are requested one at a time; after each reply the
-    child sketch is subtracted from the parent, and recovery is attempted
-    on the residual.  Residual success ends the split early; if all c-1
-    requests fail to finish the job, the final residual *is* the last
-    child's sketch, which is processed without transmission and without a
-    redundant recovery call (the residual attempt already failed for it).
-    """
-    run = _Run(set_a, transport, config, placement)
-    c = config.schedule.c
+    At a split, children are requested one at a time.  Each child is
+    recovered, and split in turn, as soon as it arrives; then it is
+    subtracted from the parent and recovery is attempted on the residual.
+    Residual success ends the split early; if all c-1 requests fail to
+    finish the job, the final residual *is* the last child's sketch, which
+    is split without transmission and without a redundant recovery call
+    (the residual attempt already failed for it).  `split` yields each
+    child to be split before it goes on; a stack of the splits in progress
+    keeps this order depth first at any depth."""
 
-    def process(path: tuple[int, ...], z: sk.SRSketch, skip: bool) -> None:
-        if not skip:
-            outcome = run.recover(z)
-            if outcome.flag:
-                run.merge(outcome)
-                return
-        if len(path) >= _MAX_DEPTH:
-            raise ProtocolError("partition tree too deep; placement not separating")
+    def split(path, z):
         residual = z
         for j in range(c - 1):
             child = path + (j,)
-            z_child = run.diff_sketch(child)
-            process(child, z_child, skip=False)
-            residual = sk.subtract(residual, z_child)
-            outcome = run.recover(residual)
-            if outcome.flag:
-                run.merge(outcome)
+            z_child = run.fetch(child, residual)
+            if not run.recover(child, z_child):
+                yield child, z_child
+            residual = run.subtract(residual, z_child)
+            if run.recover(path, residual):
                 return
-        process(path + (c - 1,), residual, skip=True)
+        yield path + (c - 1,), residual
 
-    process((), run.diff_sketch(()), skip=False)
-    return run.finish()
+    z = run.fetch((), None)
+    stack = [] if run.recover((), z) else [split((), z)]
+    while stack:
+        item = next(stack[-1], None)
+        if item is None:
+            stack.pop()
+        else:
+            stack.append(split(*item))
+
+
+ENGINES = {"psr": psr_engine, "epsr": epsr_engine}
+
+
+def psr_reconcile(set_a, transport, config: ProtocolConfig, placement=None):
+    """Reconcile with `psr_engine`: one sketch per visited partition."""
+    return _Run(set_a, transport, config, placement).drive(psr_engine)
+
+
+def epsr_reconcile(set_a, transport, config: ProtocolConfig, placement=None):
+    """Reconcile with `epsr_engine`: the last child's sketch is derived."""
+    return _Run(set_a, transport, config, placement).drive(epsr_engine)
 
 
 def reconcile(set_a, transport, config: ProtocolConfig, placement=None):
-    engine = psr_reconcile if config.protocol == "psr" else epsr_reconcile
-    return engine(set_a, transport, config, placement)
+    return _Run(set_a, transport, config, placement).drive(ENGINES[config.protocol])
 
 
 # Reference placement reproducing the documented 9-difference splitting

@@ -38,6 +38,30 @@ def _instance(seed, delta, shared_count, bits=32):
     return set(a_only) | shared, set(b_only) | shared, a_only, b_only
 
 
+def _reference_epsr(set_a, transport, config, placement=None):
+    """The recursive EPSR as first written; the iterative engine must make
+    the same requests and recoveries in the same order."""
+    run = proto._Run(set_a, transport, config, placement)
+    c = config.schedule.c
+
+    def process(path, z, skip):
+        if not skip and run.recover(path, z):
+            return
+        if len(path) >= proto._MAX_DEPTH:
+            raise proto.ProtocolError("partition tree too deep; placement not separating")
+        residual = z
+        for j in range(c - 1):
+            child = path + (j,)
+            z_child = run.fetch(child, residual)
+            process(child, z_child, skip=False)
+            residual = run.subtract(residual, z_child)
+            if run.recover(path, residual):
+                return
+        process(path + (c - 1,), residual, skip=True)
+
+    return run.drive(lambda run, c: process((), run.fetch((), None), skip=False))
+
+
 def test_respond_examples():
     fx = proto.load_fixture("fig2")
     fp = fx.config.fingerprint()
@@ -251,6 +275,41 @@ def test_random_instances_both_engines():
         cost = sk.wire_cost(cfg.mbar, cfg.gamma, cfg.element_bits)
         assert psr_m.bits_b_to_a == psr_m.sketches_transmitted * cost
         assert epsr_m.bits_b_to_a == epsr_m.sketches_transmitted * cost
+
+
+@pytest.mark.parametrize("c", [2, 3, 4, 5])
+@pytest.mark.parametrize("schedule", [fair_probs, round_optimal_probs], ids=["fair", "optimal"])
+def test_epsr_engine_matches_recursive_reference(schedule, c, monkeypatch):
+    recovered = []
+    real_recover = sk.recover
+    monkeypatch.setattr(sk, "recover", lambda z: recovered.append(z) or real_recover(z))
+    for seed in range(3):
+        set_a, set_b, a_only, b_only = _instance(100 * c + seed, delta=50, shared_count=20)
+        cfg = proto.ProtocolConfig(3, 1, 32, schedule(c), hash_seed=seed, protocol="epsr")
+        runs = []
+        for engine in (proto.epsr_reconcile, _reference_epsr):
+            trace = proto.ProtocolTrace()
+            recovered.clear()
+            out = engine(set_a, proto.make_loopback(set_b, cfg, trace=trace), cfg)
+            runs.append((out, trace.lines(), list(recovered)))
+        assert runs[0] == runs[1]
+        assert runs[0][0][0].a_only == a_only and runs[0][0][0].b_only == b_only
+
+
+class _AllZeros:
+    """Placement that never separates: every element takes child 0."""
+
+    def word(self, element, depth):
+        return (0,) * depth
+
+
+@pytest.mark.parametrize("engine", [proto.psr_reconcile, proto.epsr_reconcile],
+                         ids=["psr", "epsr"])
+def test_depth_guard(engine):
+    cfg = proto.ProtocolConfig(1, 1, 32, fair_probs(2))
+    placement = _AllZeros()
+    with pytest.raises(proto.ProtocolError, match="placement not separating"):
+        engine(set(range(1, 11)), proto.make_loopback(set(), cfg, placement), cfg, placement)
 
 
 def test_same_partitions_split():
