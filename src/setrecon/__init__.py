@@ -27,10 +27,10 @@ from .netsim import (
 from .partition import (
     PartitionSchedule,
     fair_probs,
+    first_key,
     key_of,
     round_optimal_probs,
     schedule_from_strings,
-    word_of_key,
 )
 from .protocol import (
     Fixture,
@@ -64,6 +64,7 @@ from .sketch import (
     sketch_of,
     subtract,
     to_bytes,
+    union,
     wire_cost,
 )
 

@@ -114,7 +114,7 @@ def exact_expectation_tables(delta_max: int, mbar: int, schedule: PartitionSched
     """Fraction versions of the three recursions (slow; oracle use only)."""
     probs = schedule.probs
     c = schedule.c
-    skip_front = list(schedule.cumulative()[1: c - 1])  # F_1 .. F_{c-2}
+    skip_front = [sum(probs[:j]) for j in range(1, c - 1)]  # F_1 .. F_{c-2}
     n_bar = [Fraction(1)] * (delta_max + 1)
     t_bar = [Fraction(1)] * (delta_max + 1)
     u_bar = [Fraction(1)] * (delta_max + 1)

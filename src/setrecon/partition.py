@@ -1,24 +1,23 @@
 """Recursive weighted partitioning of the hashed key space [0, 1).
 
 Elements are hashed to 64-bit integer keys k, the points k / 2^64, and the
-unit interval is split into c weighted subintervals, recursively.  Placement
-is exact integer arithmetic, so membership is unambiguous: every key belongs
-to exactly one child at every depth.  A partition is identified by its path
-word, the sequence of child indices from the root.
+unit interval is split into c weighted subintervals, recursively.  A
+partition, named by its path word of child indices from the root, holds the
+keys from its `first_key` up to the next partition's, in exact integer
+arithmetic, so every key belongs to exactly one child at every depth.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 
 _KEY_BITS = 64
-_KEY_SPACE = 1 << _KEY_BITS
+_KEY_HASH = hashlib.blake2b(digest_size=8)
 
 
 class ScheduleError(ValueError):
@@ -43,15 +42,6 @@ class PartitionSchedule:
     def c(self) -> int:
         return len(self.probs)
 
-    def cumulative(self) -> tuple[Fraction, ...]:
-        """Prefix sums F_0 = 0, F_1, ..., F_c = 1."""
-        acc = Fraction(0)
-        out = [acc]
-        for p in self.probs:
-            acc += p
-            out.append(acc)
-        return tuple(out)
-
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(p) for p in self.probs)
 
@@ -61,6 +51,16 @@ class PartitionSchedule:
         denom = math.lcm(*(p.denominator for p in self.probs))
         nums = tuple(int(p * denom) for p in self.probs)
         return denom, nums, (0, *accumulate(nums))
+
+    @cached_property
+    def key_depth(self) -> int:
+        """Least depth d at which every partition is at most one key wide,
+        max(nums)^d * 2^64 <= D^d; no split below it separates two keys."""
+        denom, nums, _ = self.scaled
+        width, scale, d = 1 << _KEY_BITS, 1, 0  # max(nums)^d * 2^64 and D^d
+        while width > scale:
+            width, scale, d = width * max(nums), scale * denom, d + 1
+        return d
 
 
 def fair_probs(c: int) -> PartitionSchedule:
@@ -91,25 +91,17 @@ def schedule_from_strings(items) -> PartitionSchedule:
 
 def key_of(element: int, seed: int) -> int:
     """Deterministic 64-bit hash of (element, seed), in [0, 2^64)."""
-    digest = hashlib.blake2b(b"%d:%d" % (element, seed), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+    h = _KEY_HASH.copy()
+    h.update(b"%d:%d" % (element, seed))
+    return int.from_bytes(h.digest(), "little")
 
 
-def word_of_key(schedule: PartitionSchedule, key: int, depth: int) -> tuple[int, ...]:
-    """First `depth` child indices of the path of the point key / 2^64.
-
-    Exact integer arithmetic: the point num/den is located against the
-    child boundaries scaled by D, then rescaled to the child's local
-    coordinates, so no boundary leakage can occur at any depth.
-    """
+def first_key(schedule: PartitionSchedule, path: tuple[int, ...]) -> int:
+    """Smallest key k with k / 2^64 in the interval of `path` (its left end
+    times 2^64, rounded up); at or past its right end if it holds no key."""
     denom, nums, cum = schedule.scaled
-    num, den = key, _KEY_SPACE
-    word = []
-    for _ in range(depth):
-        t = num * denom
-        # cum holds integers, so cum[j] <= t/den exactly when cum[j] <= t // den
-        j = bisect_right(cum, t // den) - 1
-        word.append(j)
-        num = t - cum[j] * den
-        den *= nums[j]
-    return tuple(word)
+    lo, width = 0, 1  # left end and width of the interval, times denom^depth
+    for j in path:
+        lo = lo * denom + cum[j] * width
+        width *= nums[j]
+    return -(-(lo << _KEY_BITS) // denom ** len(path))

@@ -15,6 +15,9 @@ recovery of `z` succeeded.  `ENGINES` names the two engines:
   split and derives the remaining child by subtracting the transmitted
   ones from the parent sketch, halving communication.
 
+In a `PartitionIndex` each party's set is sorted by placement key once, a
+partition is a slice, and its sketch a product of chunk sketches.
+
 `psr_reconcile`, `epsr_reconcile` and `reconcile` run the engines on real
 sketches over a transport; `netsim.run_trial` runs the same engines on
 difference counts and times what they do.  A run counts sketches
@@ -27,6 +30,7 @@ serialized size.  A->B requests are free by convention.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -34,11 +38,9 @@ from . import sketch as sk
 from .partition import (
     PartitionSchedule,
     fair_probs,
+    first_key,
     key_of,
-    word_of_key,
 )
-
-_MAX_DEPTH = 128
 
 
 class ProtocolError(Exception):
@@ -98,89 +100,94 @@ class ReconcileResult:
 
 
 class HashPlacement:
-    """Default placement: elements fall into children according to their
-    hashed key and the schedule's subinterval widths.
-
-    A placement's `word(element, depth)` returns the element's path word to
-    at least `depth` levels; its first `depth` entries name the element's
-    partition at that depth."""
-
-    _LOOKAHEAD = 8  # words reach this many levels past the depth asked for
+    """Default placement by hashed key.  A placement orders elements by
+    `key(element)`; `bound(path)` is the least key of the partition at
+    `path`, which holds the keys up to the next partition's bound."""
 
     def __init__(self, schedule: PartitionSchedule, seed: int):
         self.schedule = schedule
         self.seed = seed
 
-    def word(self, element: int, depth: int) -> tuple[int, ...]:
-        return word_of_key(self.schedule, key_of(element, self.seed), depth + self._LOOKAHEAD)
+    def key(self, element: int) -> int:
+        return key_of(element, self.seed)
+
+    def bound(self, path: tuple[int, ...]) -> int:
+        return first_key(self.schedule, path)
 
 
 class TablePlacement:
-    """Explicit element -> path-word table, for reproducing fixed trees."""
+    """Explicit element -> path-word table, for reproducing fixed trees;
+    words sort lexicographically, so a path is the least word under it."""
 
     def __init__(self, words: dict[int, tuple[int, ...]]):
-        self._words = dict(words)
+        self._table = dict(words)
 
-    def word(self, element: int, depth: int) -> tuple[int, ...]:
+    def key(self, element: int) -> tuple[int, ...]:
         try:
-            w = self._words[element]
+            return self._table[element]
         except KeyError:
             raise ProtocolError(f"no placement for element {element}") from None
-        if depth > len(w):
-            raise ProtocolError(
-                f"placement word for element {element} shorter than depth {depth}"
-            )
-        return w[:depth]
+
+    def bound(self, path: tuple[int, ...]) -> tuple[int, ...]:
+        return path
+
+
+_CHUNK = 64  # sorted elements per chunk sketch
 
 
 class PartitionIndex:
-    """One party's elements along the partition tree, filled lazily.
-
-    Each element's path word is kept, and asked of the placement again only
-    when a split goes deeper than it reaches.  Splitting a node places all
-    its members into the c children in one pass.  Each node's sketch is
-    made on first use and kept: divided out of the parent when the c-1
-    siblings already have theirs, built from the members otherwise."""
+    """One party's elements sorted by placement key; a split cuts a node's
+    slice of them at the child bounds.  Runs of `_CHUNK` elements are
+    sketched at construction, and a node's sketch, kept once made, is the
+    union of the chunks in its slice with its < 2 * `_CHUNK` ends inserted."""
 
     def __init__(self, elements, config: ProtocolConfig, placement=None):
         self._placement = placement or HashPlacement(config.schedule, config.hash_seed)
-        self._field = config.field_config
-        self._c = config.schedule.c
-        self._members: dict[tuple[int, ...], list[int]] = {(): list(elements)}
-        self._words: dict[int, tuple[int, ...]] = {}
+        self._schedule, self._field = config.schedule, config.field_config
+        elements = list(elements)
+        if len(set(elements)) != len(elements):
+            raise sk.ElementError("duplicate elements: sketches represent sets")
+        keys = list(map(self._placement.key, elements))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self._keys = [keys[i] for i in order]
+        self._elements = [elements[i] for i in order]
+        self._chunks = [sk.sketch_of(self._field, self._elements[i:i + _CHUNK])
+                        for i in range(0, len(keys), _CHUNK)]
+        self._slices: dict[tuple[int, ...], tuple[int, int]] = {(): (0, len(keys))}
         self._sketches: dict[tuple[int, ...], sk.SRSketch] = {}
 
-    def members(self, path: tuple[int, ...]) -> list[int]:
-        if path not in self._members:
-            self._split(path[:-1])
-            if path not in self._members:
+    def _slice(self, path: tuple[int, ...]) -> tuple[int, int]:
+        if len(path) > self._schedule.key_depth:
+            raise ProtocolError("tree too deep; placement not separating: two keys collide")
+        depth = len(path)
+        while path[:depth] not in self._slices:
+            depth -= 1
+        for depth in range(depth, len(path)):  # split down, without recursion
+            self._split(path[:depth])
+            if path[:depth + 1] not in self._slices:
                 raise ProtocolError(f"no partition at path {path}")
-        return self._members[path]
+        return self._slices[path]
 
     def _split(self, parent: tuple[int, ...]) -> None:
-        depth = len(parent) + 1
-        kids: list[list[int]] = [[] for _ in range(self._c)]
-        words, placement = self._words, self._placement
-        for e in self.members(parent):
-            w = words.get(e)
-            if w is None or len(w) < depth:
-                w = words[e] = placement.word(e, depth)
-            kids[w[depth - 1]].append(e)
-        for j, kid in enumerate(kids):
-            self._members[parent + (j,)] = kid
+        lo, hi = self._slices[parent]
+        cuts = [bisect_left(self._keys, self._placement.bound(parent + (j,)), lo, hi)
+                for j in range(self._schedule.c)] + [hi]
+        if cuts[0] != lo:
+            raise ProtocolError(f"placement word for element {self._elements[lo]} "
+                                f"shorter than depth {len(parent) + 1}")
+        self._slices.update((parent + (j,), s) for j, s in enumerate(zip(cuts, cuts[1:])))
 
     def sketch(self, path: tuple[int, ...]) -> sk.SRSketch:
         z = self._sketches.get(path)
         if z is None:
-            members = self.members(path)  # also refuses a path outside the tree
-            parent = path[:-1]
-            siblings = [parent + (j,) for j in range(self._c) if path and j != path[-1]]
-            if path and all(p in self._sketches for p in (parent, *siblings)):
-                z = self._sketches[parent]
-                for p in siblings:
-                    z = sk.subtract(z, self._sketches[p])
+            lo, hi = self._slice(path)
+            first = -(-lo // _CHUNK)
+            last = len(self._chunks) if hi == len(self._elements) else hi // _CHUNK
+            if first < last:
+                ends = self._elements[lo:first * _CHUNK] + self._elements[last * _CHUNK:hi]
+                z = sk.insert_set(sk.union(self._chunks[first:last]), ends)
             else:
-                z = sk.sketch_of(self._field, members)
+                z = sk.sketch_of(self._field, self._elements[lo:hi])
             self._sketches[path] = z
         return z
 
@@ -272,8 +279,6 @@ class _Run:
         self.max_tx_depth = 0
 
     def fetch(self, path: tuple[int, ...], after) -> sk.SRSketch:
-        if len(path) > _MAX_DEPTH:
-            raise ProtocolError("partition tree too deep; placement not separating")
         za = self.index.sketch(path)
         blob = self.transport.request(self.fingerprint, path)
         try:

@@ -13,6 +13,7 @@ Sketches are immutable values; every operation returns a new sketch.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import struct
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from . import fieldmath as fm
 _COUNT_MIN = -(2**31)
 _COUNT_MAX = 2**31 - 1
 _HEADER = struct.Struct("<HHHi")
+_UNION_BLOCK = 16  # factors per reduction in `union`: longer products cost more
 
 
 class ConfigError(ValueError):
@@ -125,6 +127,20 @@ def insert_set(sk: SRSketch, elements) -> SRSketch:
 
 def sketch_of(config: FieldConfig, elements) -> SRSketch:
     return insert_set(new_sketch(config), elements)
+
+
+def union(sketches) -> SRSketch:
+    """Sketch of the union of disjoint sets: the pointwise product of theirs."""
+    cfg = sketches[0].config
+    if any(z.config != cfg for z in sketches):
+        raise MismatchError("sketch configurations differ")
+    values = []
+    for col in zip(*(z.values for z in sketches)):
+        v = 1
+        for i in range(0, len(col), _UNION_BLOCK):
+            v = v * math.prod(col[i:i + _UNION_BLOCK]) % cfg.modulus
+        values.append(v)
+    return SRSketch(cfg, tuple(values), sum(z.count for z in sketches))
 
 
 def subtract(za: SRSketch, zb: SRSketch) -> SRSketch:

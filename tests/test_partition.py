@@ -1,6 +1,8 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -36,11 +38,25 @@ def reference_word(schedule, key: Fraction, depth: int) -> tuple[int, ...]:
 
 def reference_interval(schedule, path) -> tuple[Fraction, Fraction]:
     """Bounds [lo, hi) of the points of [0, 1) whose word starts with path."""
-    cum = schedule.cumulative()
+    cum = (0, *accumulate(schedule.probs))
     lo, width = Fraction(0), Fraction(1)
     for j in path:
         lo, width = lo + cum[j] * width, schedule.probs[j] * width
     return lo, lo + width
+
+
+def bounds_word(schedule, key: int, depth: int) -> tuple[int, ...]:
+    """The word the first keys give: at each level, the last child whose
+    first key is at or below `key` (the cut a partition index makes)."""
+    word = ()
+    for _ in range(depth):
+        word += (max(j for j in range(schedule.c) if pt.first_key(schedule, word + (j,)) <= key),)
+    return word
+
+
+def ceil_key(point: Fraction) -> int:
+    """The point scaled by 2^64 and rounded up."""
+    return -(-point.numerator * KEY_SPACE // point.denominator)
 
 
 EXACTNESS_SCHEDULES = (
@@ -48,7 +64,11 @@ EXACTNESS_SCHEDULES = (
     pt.round_optimal_probs(3),
     pt.round_optimal_probs(4),
     pt.schedule_from_strings(["0.15", "0.1", "0.25", "0.2", "0.3"]),
+    pt.schedule_from_strings(["0.99", "0.01"]),
 )
+
+# depths checked: the first levels, and past the 64 bits of a key
+DEPTHS = st.one_of(st.integers(0, 24), st.integers(65, 80))
 
 
 def test_schedule_validation():
@@ -80,11 +100,20 @@ def test_key_of_determinism_and_range():
     assert pt.key_of(123456, 8) != k1
 
 
+@pytest.mark.parametrize("bits", [64, 256])
+def test_key_of_matches_blake2b_expression(bits):
+    # the copied hasher state gives the keys of one fresh hasher per call
+    for seed in (0, 1, 7, 2**32 + 5):
+        for element in (*range(100), (1 << bits) - 2, (1 << bits) - 1):
+            digest = hashlib.blake2b(b"%d:%d" % (element, seed), digest_size=8).digest()
+            assert pt.key_of(element, seed) == int.from_bytes(digest, "little")
+
+
 def test_seed_changes_partition():
     sched = pt.fair_probs(2)
     elems = list(range(40))
-    w0 = [pt.word_of_key(sched, pt.key_of(e, 0), 3) for e in elems]
-    w1 = [pt.word_of_key(sched, pt.key_of(e, 1), 3) for e in elems]
+    w0 = [bounds_word(sched, pt.key_of(e, 0), 3) for e in elems]
+    w1 = [bounds_word(sched, pt.key_of(e, 1), 3) for e in elems]
     assert w0 != w1
 
 
@@ -104,10 +133,7 @@ def test_multinomial_placement_chi_square():
     trials, per = 10_000, 5
     hist = [0] * (per + 1)
     for t in range(trials):
-        left = sum(
-            pt.word_of_key(sched, pt.key_of(t * per + j, 9), 1) == (0,)
-            for j in range(per)
-        )
+        left = sum(pt.key_of(t * per + j, 9) < pt.first_key(sched, (1,)) for j in range(per))
         hist[left] += 1
     chi2 = 0.0
     for k, got in enumerate(hist):
@@ -125,23 +151,58 @@ def test_path_word_roundtrip():
         # any key inside the interval maps back to the same word
         key = lo + (hi - lo) * Fraction(rng.getrandbits(32), 1 << 33)
         assert (key * KEY_SPACE).denominator == 1  # exact at 64 bits
-        assert pt.word_of_key(sched, int(key * KEY_SPACE), len(path)) == path
+        assert bounds_word(sched, int(key * KEY_SPACE), len(path)) == path
 
 
-def test_word_of_key_boundary():
+def test_first_key_boundary():
     sched = pt.fair_probs(2)
-    assert pt.word_of_key(sched, KEY_SPACE // 2, 1) == (1,)
-    assert pt.word_of_key(sched, 0, 3) == (0, 0, 0)
+    assert pt.first_key(sched, ()) == pt.first_key(sched, (0, 0, 0)) == 0
+    assert pt.first_key(sched, (1,)) == KEY_SPACE // 2
+    assert pt.first_key(sched, (1, 1)) == 3 * KEY_SPACE // 4
+    assert bounds_word(sched, KEY_SPACE // 2, 1) == (1,)
+    assert bounds_word(sched, KEY_SPACE // 2 - 1, 2) == (0, 1)
+    assert bounds_word(sched, 0, 3) == (0, 0, 0)
+    # depth 64 is one key wide; at 65 every other interval holds no key
+    # and starts at the next key
+    assert pt.first_key(sched, (0,) * 63 + (1,)) == 1
+    assert pt.first_key(sched, (0,) * 64 + (1,)) == 1
+
+
+@pytest.mark.parametrize("schedule, depth", [
+    (pt.fair_probs(2), 64),
+    (pt.fair_probs(3), 41),
+    (pt.round_optimal_probs(4), 64),
+    (pt.schedule_from_strings(["0.15", "0.1", "0.25", "0.2", "0.3"]), 37),
+    (pt.schedule_from_strings(["0.99", "0.01"]), 4414),
+])
+def test_key_depth(schedule, depth):
+    # the least depth at which the widest interval is at most one key wide
+    widest = max(schedule.probs)
+    assert schedule.key_depth == depth
+    assert widest**depth * KEY_SPACE <= 1 < widest ** (depth - 1) * KEY_SPACE
+
+
+@settings(max_examples=400, deadline=None)
+@given(schedule=st.sampled_from(EXACTNESS_SCHEDULES), data=st.data())
+def test_first_key_is_rounded_up_left_end(schedule, data):
+    depth = data.draw(DEPTHS)
+    path = tuple(data.draw(st.lists(st.integers(0, schedule.c - 1),
+                                    min_size=depth, max_size=depth)))
+    lo, hi = reference_interval(schedule, path)
+    first = pt.first_key(schedule, path)
+    assert first == ceil_key(lo)
+    if first < KEY_SPACE and Fraction(first, KEY_SPACE) < hi:
+        assert reference_word(schedule, Fraction(first, KEY_SPACE), len(path)) == path
 
 
 @settings(max_examples=400, deadline=None)
 @given(
     schedule=st.sampled_from(EXACTNESS_SCHEDULES),
     key=st.integers(0, KEY_SPACE - 1),
-    depth=st.integers(0, 24),
+    depth=DEPTHS,
 )
 def test_integer_word_matches_fraction_reference(schedule, key, depth):
-    assert pt.word_of_key(schedule, key, depth) == reference_word(
+    assert bounds_word(schedule, key, depth) == reference_word(
         schedule, Fraction(key, KEY_SPACE), depth)
 
 
@@ -155,13 +216,14 @@ def test_integer_word_exact_at_child_boundaries(schedule, data):
                                     min_size=depth - 1, max_size=depth - 1)))
     j = data.draw(st.integers(1, schedule.c - 1))
     lo, hi = reference_interval(schedule, path)
-    cum = schedule.cumulative()
+    cum = (0, *accumulate(schedule.probs))
     boundary = lo + cum[j] * (hi - lo)
-    first = -(-boundary.numerator * KEY_SPACE // boundary.denominator)  # ceil
+    first = ceil_key(boundary)
+    assert pt.first_key(schedule, path + (j,)) == first
     for key in (first - 1, first, first + 1):
         if 0 <= key < KEY_SPACE:
-            assert pt.word_of_key(schedule, key, depth) == reference_word(
+            assert bounds_word(schedule, key, depth) == reference_word(
                 schedule, Fraction(key, KEY_SPACE), depth)
     if Fraction(first, KEY_SPACE) < lo + cum[j + 1] * (hi - lo):
         # the child holds a key: the first one is placed in it
-        assert pt.word_of_key(schedule, first, depth) == path + (j,)
+        assert bounds_word(schedule, first, depth) == path + (j,)

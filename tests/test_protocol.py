@@ -3,9 +3,22 @@ from dataclasses import replace
 
 import pytest
 
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_partition import (
+    DEPTHS,
+    EXACTNESS_SCHEDULES,
+    KEY_SPACE,
+    ceil_key,
+    reference_interval,
+    reference_word,
+)
+
 from setrecon import protocol as proto
 from setrecon import sketch as sk
-from setrecon.partition import fair_probs, round_optimal_probs
+from setrecon.partition import fair_probs, key_of, round_optimal_probs, schedule_from_strings
 
 FIG2_TRACE = [
     "a_to_b,1,-,0", "b_to_a,1,-,22",
@@ -47,7 +60,7 @@ def _reference_epsr(set_a, transport, config, placement=None):
     def process(path, z, skip):
         if not skip and run.recover(path, z):
             return
-        if len(path) >= proto._MAX_DEPTH:
+        if len(path) >= config.schedule.key_depth:
             raise proto.ProtocolError("partition tree too deep; placement not separating")
         residual = z
         for j in range(c - 1):
@@ -94,16 +107,17 @@ class RecordingTransport(proto.LoopbackTransport):
         return blob
 
 
+def _members(index, path):
+    """The elements in the index's slice for path."""
+    lo, hi = index._slice(path)
+    return index._elements[lo:hi]
+
+
 @pytest.mark.parametrize("sched, depth", [(fair_probs(2), 3), (round_optimal_probs(4), 2)],
                          ids=["c2", "c4"])
-def test_partition_index_sketches_match_members(sched, depth, monkeypatch):
-    # every sketch served, built or divided out of the parent, is the sketch
-    # of the node's members, and the members are the hashed placement's
-    from setrecon.partition import key_of, word_of_key
-
-    subtracts = []
-    real_subtract = sk.subtract
-    monkeypatch.setattr(sk, "subtract", lambda a, b: subtracts.append(1) or real_subtract(a, b))
+def test_partition_index_sketches_match_members(sched, depth):
+    # every sketch served is the sketch of the node's members, and the
+    # members are the hashed placement's
     cfg = proto.ProtocolConfig(3, 1, 32, sched, hash_seed=5)
     elements = random.Random(8).sample(range(1 << 32), 2000)
     index = proto.PartitionIndex(elements, cfg)
@@ -111,20 +125,82 @@ def test_partition_index_sketches_match_members(sched, depth, monkeypatch):
     for d in range(depth):
         paths += [p + (j,) for p in paths if len(p) == d for j in range(sched.c)]
     for path in paths:  # breadth first, children in order
-        members = index.members(path)
-        assert sorted(members) == sorted(
-            e for e in elements if word_of_key(sched, key_of(e, 5), len(path)) == path)
+        members = _members(index, path)
+        assert sorted(members) == sorted(e for e in elements if reference_word(
+            sched, Fraction(key_of(e, 5), KEY_SPACE), len(path)) == path)
         assert index.sketch(path) == sk.sketch_of(cfg.field_config, members)
-    # every last child is divided out, as its parent and siblings come first
-    divided = [p for p in paths if p and p[-1] == sched.c - 1]
-    assert len(subtracts) == len(divided) * (sched.c - 1)
     # a child index outside the schedule is refused, also once its parent
     # and every real sibling have sketches
     for bad in ((sched.c,), (-1,)):
         with pytest.raises(proto.ProtocolError):
-            index.members(bad)
+            _members(index, bad)
         with pytest.raises(proto.ProtocolError):
             index.sketch(bad)
+
+
+class _KeyTable(proto.HashPlacement):
+    """Hashed placement with the keys given: element i has keys[i]."""
+
+    def __init__(self, schedule, keys):
+        super().__init__(schedule, 0)
+        self.keys = keys
+
+    def key(self, element):
+        return self.keys[element]
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedule=st.sampled_from(EXACTNESS_SCHEDULES), data=st.data())
+def test_partition_index_slices_match_reference_words(schedule, data):
+    # random keys, and keys at the bounds of the partitions on the way to a
+    # deep path and beside it, each placed by the Fraction reference
+    depth = min(data.draw(DEPTHS), schedule.key_depth - 1)
+    path = tuple(data.draw(st.lists(st.integers(0, schedule.c - 1),
+                                    min_size=depth, max_size=depth)))
+    keys = set(data.draw(st.lists(st.integers(0, KEY_SPACE - 1), max_size=40)))
+    for d in range(depth + 1):
+        for j in range(schedule.c):
+            lo, _ = reference_interval(schedule, path[:d] + (j,))
+            keys |= {ceil_key(lo) + k for k in (-1, 0, 1)}
+    keys = sorted(k for k in keys if 0 <= k < KEY_SPACE)
+    cfg = proto.ProtocolConfig(3, 1, 32, schedule)
+    index = proto.PartitionIndex(range(len(keys)), cfg, _KeyTable(schedule, keys))
+    words = [reference_word(schedule, Fraction(k, KEY_SPACE), depth + 1) for k in keys]
+    for d in range(depth + 1):
+        for node in [path[:d]] + [path[:d] + (j,) for j in range(schedule.c)]:
+            assert _members(index, node) == [
+                e for e, w in enumerate(words) if w[:len(node)] == node]
+
+
+@pytest.mark.parametrize("n", [0, 1, proto._CHUNK - 1, proto._CHUNK, proto._CHUNK + 1, 2000])
+def test_partition_index_inserts_each_element_once(n, monkeypatch):
+    # construction inserts every element exactly once; a node's sketch then
+    # inserts fewer than 2 * _CHUNK more and equals its members' sketch
+    real_insert = sk.insert_set
+    inserted = []
+    monkeypatch.setattr(sk, "insert_set",
+                        lambda z, elems: inserted.append(list(elems)) or real_insert(z, elems))
+    cfg = proto.ProtocolConfig(3, 1, 32, fair_probs(2), hash_seed=2)
+    elements = random.Random(n).sample(range(1 << 32), n)
+    index = proto.PartitionIndex(elements, cfg)
+    assert sorted(e for batch in inserted for e in batch) == sorted(elements)
+    paths = [()]
+    for d in range(6):
+        paths += [p + (j,) for p in paths if len(p) == d for j in range(2)]
+    for path in paths:
+        inserted.clear()
+        z = index.sketch(path)
+        assert len(inserted) == 1 and len(inserted[0]) < 2 * proto._CHUNK
+        assert z == sk.sketch_of(cfg.field_config, _members(index, path))
+
+
+def test_partition_index_refuses_duplicates():
+    # with every key equal the sort keeps the input order, so the repeat
+    # lands chunks away from the first copy; it is refused all the same
+    cfg = proto.ProtocolConfig(3, 1, 32, fair_probs(2))
+    elements = random.Random(1).sample(range(1 << 32), 300)
+    with pytest.raises(sk.ElementError, match="duplicate"):
+        proto.PartitionIndex(elements + elements[:1], cfg, _AllZeros(cfg.schedule, 0))
 
 
 @pytest.mark.parametrize("sched", [fair_probs(2), round_optimal_probs(4)],
@@ -296,20 +372,33 @@ def test_epsr_engine_matches_recursive_reference(schedule, c, monkeypatch):
         assert runs[0][0][0].a_only == a_only and runs[0][0][0].b_only == b_only
 
 
-class _AllZeros:
-    """Placement that never separates: every element takes child 0."""
+class _AllZeros(proto.HashPlacement):
+    """Placement that never separates: every element has key 0."""
 
-    def word(self, element, depth):
-        return (0,) * depth
+    def key(self, element):
+        return 0
 
 
 @pytest.mark.parametrize("engine", [proto.psr_reconcile, proto.epsr_reconcile],
                          ids=["psr", "epsr"])
 def test_depth_guard(engine):
     cfg = proto.ProtocolConfig(1, 1, 32, fair_probs(2))
-    placement = _AllZeros()
+    placement = _AllZeros(cfg.schedule, 0)
     with pytest.raises(proto.ProtocolError, match="placement not separating"):
         engine(set(range(1, 11)), proto.make_loopback(set(), cfg, placement), cfg, placement)
+
+
+@pytest.mark.parametrize("engine", [proto.psr_reconcile, proto.epsr_reconcile],
+                         ids=["psr", "epsr"])
+def test_skewed_schedule_separates_past_64_levels(engine):
+    # (0.99, 0.01) needs hundreds of levels to part 300 keys; the depth
+    # limit of this schedule is thousands of levels, so every key separates
+    cfg = proto.ProtocolConfig(1, 1, 64, schedule_from_strings(["0.99", "0.01"]))
+    rng = random.Random(3)
+    set_a = {rng.getrandbits(64) for _ in range(300)}
+    res, m = engine(set_a, proto.make_loopback(set(), cfg), cfg)
+    assert res.a_only == set_a and not res.b_only
+    assert m.rounds > 128
 
 
 def test_same_partitions_split():
@@ -423,12 +512,17 @@ def test_wrong_config_reply_rejected():
 
 
 def test_table_placement_errors():
-    placement = proto.TablePlacement({1: (0, 1)})
-    with pytest.raises(proto.ProtocolError):
-        placement.word(2, 1)
-    with pytest.raises(proto.ProtocolError):
-        placement.word(1, 3)
-    assert placement.word(1, 2) == (0, 1)
+    cfg = proto.ProtocolConfig(3, 1, 32, fair_probs(2))
+    placement = proto.TablePlacement({1: (0, 1), 2: (0,)})
+    # an element with no word is refused when the index is built
+    with pytest.raises(proto.ProtocolError, match="no placement for element 3"):
+        proto.PartitionIndex([1, 3], cfg, placement)
+    # a word too short is refused on the split that needs it, and only there
+    index = proto.PartitionIndex([1, 2], cfg, placement)
+    assert _members(index, (0,)) == [2, 1] and _members(index, (1,)) == []
+    with pytest.raises(proto.ProtocolError, match="element 2 shorter than depth 2"):
+        _members(index, (0, 1))
+    assert _members(proto.PartitionIndex([1], cfg, placement), (0, 1)) == [1]
 
 
 def test_unknown_fixture():
