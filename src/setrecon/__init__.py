@@ -27,14 +27,13 @@ from .netsim import (
 from .partition import (
     PartitionSchedule,
     fair_probs,
-    first_key,
     key_of,
+    key_range,
     round_optimal_probs,
     schedule_from_strings,
 )
 from .protocol import (
     Fixture,
-    HashPlacement,
     LoopbackTransport,
     ProtocolConfig,
     ProtocolError,
@@ -42,7 +41,6 @@ from .protocol import (
     ReconcileMetrics,
     ReconcileResult,
     Responder,
-    TablePlacement,
     epsr_reconcile,
     load_fixture,
     make_loopback,
@@ -64,7 +62,6 @@ from .sketch import (
     sketch_of,
     subtract,
     to_bytes,
-    union,
     wire_cost,
 )
 

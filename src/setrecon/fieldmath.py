@@ -54,11 +54,6 @@ def next_prime(n: int) -> int:
     return c
 
 
-def inv_mod(a: int, q: int) -> int:
-    """Inverse of a modulo q; raises ZeroDivisionError for a == 0 mod q."""
-    return pow(a, -1, q)
-
-
 def poly_trim(a: list[int]) -> list[int]:
     """Strip trailing zero coefficients in place and return the list."""
     while a and a[-1] == 0:
@@ -133,7 +128,7 @@ def poly_divmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int
     db = len(b) - 1
     if len(r) - 1 < db:
         return [], poly_trim(r)
-    inv_lead = inv_mod(b[-1], q)
+    inv_lead = pow(b[-1], -1, q)
     quot = [0] * (len(r) - db)
     for k in range(len(r) - 1, db - 1, -1):
         c = r[k] % q
@@ -155,7 +150,7 @@ def poly_monic(a: list[int], q: int) -> list[int]:
         return []
     if a[-1] == 1:
         return list(a)
-    return poly_mul_scalar(a, inv_mod(a[-1], q), q)
+    return poly_mul_scalar(a, pow(a[-1], -1, q), q)
 
 
 def poly_gcd(a: list[int], b: list[int], q: int) -> list[int]:

@@ -3,8 +3,9 @@
 Elements are hashed to 64-bit integer keys k, the points k / 2^64, and the
 unit interval is split into c weighted subintervals, recursively.  A
 partition, named by its path word of child indices from the root, holds the
-keys from its `first_key` up to the next partition's, in exact integer
-arithmetic, so every key belongs to exactly one child at every depth.
+keys in its `key_range`, computed in exact integer arithmetic; the ranges
+of a split's children tile their parent's, so every key belongs to exactly
+one child at every depth.
 """
 
 from __future__ import annotations
@@ -96,12 +97,13 @@ def key_of(element: int, seed: int) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def first_key(schedule: PartitionSchedule, path: tuple[int, ...]) -> int:
-    """Smallest key k with k / 2^64 in the interval of `path` (its left end
-    times 2^64, rounded up); at or past its right end if it holds no key."""
+def key_range(schedule: PartitionSchedule, path: tuple[int, ...]) -> tuple[int, int]:
+    """The keys k of the partition at `path` are those with first <= k < end:
+    both ends of its interval times 2^64, rounded up.  The root is (0, 2^64)."""
     denom, nums, cum = schedule.scaled
     lo, width = 0, 1  # left end and width of the interval, times denom^depth
     for j in path:
         lo = lo * denom + cum[j] * width
         width *= nums[j]
-    return -(-(lo << _KEY_BITS) // denom ** len(path))
+    scale = denom ** len(path)
+    return -(-(lo << _KEY_BITS) // scale), -(-((lo + width) << _KEY_BITS) // scale)

@@ -15,8 +15,10 @@ recovery of `z` succeeded.  `ENGINES` names the two engines:
   split and derives the remaining child by subtracting the transmitted
   ones from the parent sketch, halving communication.
 
-In a `PartitionIndex` each party's set is sorted by placement key once, a
-partition is a slice, and its sketch a product of chunk sketches.
+A placement maps each element to a 64-bit key, by default its hash
+`key_of(element, hash_seed)`.  In a `PartitionIndex` each party's set is
+sorted by key once, a partition is the slice between the bisections at the
+ends of its `key_range`, and its sketch a ratio of two prefix sketches.
 
 `psr_reconcile`, `epsr_reconcile` and `reconcile` run the engines on real
 sketches over a transport; `netsim.run_trial` runs the same engines on
@@ -38,8 +40,8 @@ from . import sketch as sk
 from .partition import (
     PartitionSchedule,
     fair_probs,
-    first_key,
     key_of,
+    key_range,
 )
 
 
@@ -99,93 +101,55 @@ class ReconcileResult:
         return self.a_only | self.b_only
 
 
-class HashPlacement:
-    """Default placement by hashed key.  A placement orders elements by
-    `key(element)`; `bound(path)` is the least key of the partition at
-    `path`, which holds the keys up to the next partition's bound."""
-
-    def __init__(self, schedule: PartitionSchedule, seed: int):
-        self.schedule = schedule
-        self.seed = seed
-
-    def key(self, element: int) -> int:
-        return key_of(element, self.seed)
-
-    def bound(self, path: tuple[int, ...]) -> int:
-        return first_key(self.schedule, path)
-
-
-class TablePlacement:
-    """Explicit element -> path-word table, for reproducing fixed trees;
-    words sort lexicographically, so a path is the least word under it."""
-
-    def __init__(self, words: dict[int, tuple[int, ...]]):
-        self._table = dict(words)
-
-    def key(self, element: int) -> tuple[int, ...]:
-        try:
-            return self._table[element]
-        except KeyError:
-            raise ProtocolError(f"no placement for element {element}") from None
-
-    def bound(self, path: tuple[int, ...]) -> tuple[int, ...]:
-        return path
-
-
-_CHUNK = 64  # sorted elements per chunk sketch
+_CHUNK = 64  # sorted elements between prefix sketches
 
 
 class PartitionIndex:
-    """One party's elements sorted by placement key; a split cuts a node's
-    slice of them at the child bounds.  Runs of `_CHUNK` elements are
-    sketched at construction, and a node's sketch, kept once made, is the
-    union of the chunks in its slice with its < 2 * `_CHUNK` ends inserted."""
+    """One party's elements sorted by placement key: the partition at a path
+    is the slice of keys in its `key_range`.  Prefix sketches, one every
+    `_CHUNK` elements and one of the whole set, are made at construction;
+    a node's sketch, kept once made, is the ratio of the prefixes around its
+    slice with its < 2 * `_CHUNK` ends inserted.  `placement` maps elements
+    to keys; by default an element's key is `key_of(element, hash_seed)`."""
 
     def __init__(self, elements, config: ProtocolConfig, placement=None):
-        self._placement = placement or HashPlacement(config.schedule, config.hash_seed)
         self._schedule, self._field = config.schedule, config.field_config
         elements = list(elements)
-        if len(set(elements)) != len(elements):
+        self.members = set(elements)
+        if len(self.members) != len(elements):
             raise sk.ElementError("duplicate elements: sketches represent sets")
-        keys = list(map(self._placement.key, elements))
+        seed = config.hash_seed
+        self.key = placement.get if placement is not None else lambda e: key_of(e, seed)
+        keys = list(map(self.key, elements))
+        if None in keys:
+            raise ProtocolError(f"no placement for element {elements[keys.index(None)]}")
         order = sorted(range(len(keys)), key=keys.__getitem__)
         self._keys = [keys[i] for i in order]
         self._elements = [elements[i] for i in order]
-        self._chunks = [sk.sketch_of(self._field, self._elements[i:i + _CHUNK])
-                        for i in range(0, len(keys), _CHUNK)]
-        self._slices: dict[tuple[int, ...], tuple[int, int]] = {(): (0, len(keys))}
+        if self._slice(()) != (0, len(keys)):
+            raise ProtocolError("placement key outside [0, 2^64)")
+        self._prefix = [sk.new_sketch(self._field)]
+        for i in range(0, len(keys), _CHUNK):
+            self._prefix.append(sk.insert_set(self._prefix[-1], self._elements[i:i + _CHUNK]))
         self._sketches: dict[tuple[int, ...], sk.SRSketch] = {}
 
     def _slice(self, path: tuple[int, ...]) -> tuple[int, int]:
         if len(path) > self._schedule.key_depth:
             raise ProtocolError("tree too deep; placement not separating: two keys collide")
-        depth = len(path)
-        while path[:depth] not in self._slices:
-            depth -= 1
-        for depth in range(depth, len(path)):  # split down, without recursion
-            self._split(path[:depth])
-            if path[:depth + 1] not in self._slices:
-                raise ProtocolError(f"no partition at path {path}")
-        return self._slices[path]
-
-    def _split(self, parent: tuple[int, ...]) -> None:
-        lo, hi = self._slices[parent]
-        cuts = [bisect_left(self._keys, self._placement.bound(parent + (j,)), lo, hi)
-                for j in range(self._schedule.c)] + [hi]
-        if cuts[0] != lo:
-            raise ProtocolError(f"placement word for element {self._elements[lo]} "
-                                f"shorter than depth {len(parent) + 1}")
-        self._slices.update((parent + (j,), s) for j, s in enumerate(zip(cuts, cuts[1:])))
+        if path and not 0 <= min(path) <= max(path) < self._schedule.c:
+            raise ProtocolError(f"no partition at path {path}")
+        first, end = key_range(self._schedule, path)
+        return bisect_left(self._keys, first), bisect_left(self._keys, end)
 
     def sketch(self, path: tuple[int, ...]) -> sk.SRSketch:
         z = self._sketches.get(path)
         if z is None:
             lo, hi = self._slice(path)
             first = -(-lo // _CHUNK)
-            last = len(self._chunks) if hi == len(self._elements) else hi // _CHUNK
+            last = len(self._prefix) - 1 if hi == len(self._elements) else hi // _CHUNK
             if first < last:
                 ends = self._elements[lo:first * _CHUNK] + self._elements[last * _CHUNK:hi]
-                z = sk.insert_set(sk.union(self._chunks[first:last]), ends)
+                z = sk.insert_set(sk.subtract(self._prefix[last], self._prefix[first]), ends)
             else:
                 z = sk.sketch_of(self._field, self._elements[lo:hi])
             self._sketches[path] = z
@@ -297,14 +261,29 @@ class _Run:
     def recover(self, path: tuple[int, ...], z: sk.SRSketch) -> bool:
         self.recoveries += 1
         outcome = sk.recover(z)
-        if outcome.flag:
-            # Recovered pieces come from disjoint partitions (or disjoint
-            # residuals) and must never overlap.
-            if (self.a_only & outcome.recovered_a) or (self.b_only & outcome.recovered_b):
-                raise ProtocolError("overlapping recoveries; inconsistent replies")
-            self.a_only |= outcome.recovered_a
-            self.b_only |= outcome.recovered_b
-        return outcome.flag
+        if not (outcome.flag and self._placed(path, outcome)):
+            return False
+        # Recovered pieces come from disjoint partitions (or disjoint
+        # residuals) and must never overlap.
+        if (self.a_only & outcome.recovered_a) or (self.b_only & outcome.recovered_b):
+            raise ProtocolError("overlapping recoveries; inconsistent replies")
+        self.a_only |= outcome.recovered_a
+        self.b_only |= outcome.recovered_b
+        return True
+
+    def _placed(self, path: tuple[int, ...], outcome: sk.RecoveryOutcome) -> bool:
+        """Whether a recovered piece can be the difference at `path`: its
+        A-only elements are A's, its B-only ones are not, and every key lies
+        in the partition.  A success that fails it counts as a failed
+        recovery, so the engine splits further."""
+        members = self.index.members
+        if not (outcome.recovered_a <= members and members.isdisjoint(outcome.recovered_b)):
+            return False
+        keys = list(map(self.index.key, outcome.recovered_a | outcome.recovered_b))
+        if not keys:
+            return True
+        first, end = key_range(self.config.schedule, path)
+        return all(k is not None and first <= k < end for k in keys)
 
     def drive(self, engine) -> tuple[ReconcileResult, ReconcileMetrics]:
         engine(self, self.config.schedule.c)
@@ -379,9 +358,9 @@ def reconcile(set_a, transport, config: ProtocolConfig, placement=None):
     return _Run(set_a, transport, config, placement).drive(ENGINES[config.protocol])
 
 
-# Reference placement reproducing the documented 9-difference splitting
-# tree (root 9 -> 5/4 -> 2,3 / 0,4 -> 2,1 / 2,2) used by tests and the
-# fig2/fig3 CLI fixtures.
+# Path words of the documented 9-difference splitting tree (root 9 -> 5/4
+# -> 2,3 / 0,4 -> 2,1 / 2,2) used by tests and the fig2/fig3 CLI fixtures;
+# each element's key is the first key of its word's partition.
 WORKED_EXAMPLE_WORDS: dict[int, tuple[int, ...]] = {
     1: (0, 0, 0, 0),
     2: (0, 0, 1, 0),
@@ -403,7 +382,7 @@ class Fixture:
     set_a: frozenset[int]
     set_b: frozenset[int]
     config: ProtocolConfig
-    placement: TablePlacement
+    placement: dict[int, int]
 
 
 def load_fixture(name: str) -> Fixture:
@@ -423,4 +402,6 @@ def load_fixture(name: str) -> Fixture:
     )
     set_a = frozenset({1, 3, 5, 7, 9})
     set_b = frozenset({2, 4, 6, 8})
-    return Fixture(name, set_a, set_b, config, TablePlacement(WORKED_EXAMPLE_WORDS))
+    placement = {e: key_range(config.schedule, word)[0]
+                 for e, word in WORKED_EXAMPLE_WORDS.items()}
+    return Fixture(name, set_a, set_b, config, placement)

@@ -13,7 +13,6 @@ Sketches are immutable values; every operation returns a new sketch.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 import struct
 from dataclasses import dataclass
@@ -25,7 +24,6 @@ from . import fieldmath as fm
 _COUNT_MIN = -(2**31)
 _COUNT_MAX = 2**31 - 1
 _HEADER = struct.Struct("<HHHi")
-_UNION_BLOCK = 16  # factors per reduction in `union`: longer products cost more
 
 
 class ConfigError(ValueError):
@@ -129,20 +127,6 @@ def sketch_of(config: FieldConfig, elements) -> SRSketch:
     return insert_set(new_sketch(config), elements)
 
 
-def union(sketches) -> SRSketch:
-    """Sketch of the union of disjoint sets: the pointwise product of theirs."""
-    cfg = sketches[0].config
-    if any(z.config != cfg for z in sketches):
-        raise MismatchError("sketch configurations differ")
-    values = []
-    for col in zip(*(z.values for z in sketches)):
-        v = 1
-        for i in range(0, len(col), _UNION_BLOCK):
-            v = v * math.prod(col[i:i + _UNION_BLOCK]) % cfg.modulus
-        values.append(v)
-    return SRSketch(cfg, tuple(values), sum(z.count for z in sketches))
-
-
 def subtract(za: SRSketch, zb: SRSketch) -> SRSketch:
     """Pointwise ratio za/zb; represents the symmetric difference when both
     arguments are pure-set sketches over the same configuration."""
@@ -155,7 +139,7 @@ def subtract(za: SRSketch, zb: SRSketch) -> SRSketch:
     # Batch inversion (Montgomery's trick): invert the product of all
     # subtrahend values once; 1/vb_i is then prefix_(i-1) / prefix_i.
     prefix = list(accumulate(zb.values, lambda x, y: x * y % q))
-    inv = fm.inv_mod(prefix[-1], q)
+    inv = pow(prefix[-1], -1, q)
     vals = [0] * len(prefix)
     for i in range(len(prefix) - 1, 0, -1):
         vals[i] = za.values[i] * prefix[i - 1] * inv % q
@@ -198,7 +182,7 @@ def _solve_monic_pair(points, values, m_a: int, m_b: int, q: int):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = fm.inv_mod(rows[r][col], q)
+        inv = pow(rows[r][col], -1, q)
         rows[r] = [c * inv % q for c in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][col]:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from setrecon.cli import main
 
 
@@ -124,6 +126,41 @@ def test_reconcile_random_correct(tmp_path):
     first = out.read_bytes()
     assert run_cli(*args) == 0
     assert out.read_bytes() == first
+
+
+# sha256 of stdout followed by the --trace file: a change to any reply byte,
+# trace line or metric of these runs changes its digest
+RECONCILE_DIGESTS = [
+    (("--fixture", "fig2"),
+     "96b707557209f29a7ba8e82f7b8f9d99eb0369b7fbd5e3b459bb147f90a05f74"),
+    (("--fixture", "fig3"),
+     "5be048972ce0488e2cd9b11821e5ad81249d9c477ef8e5fb1933f9c985355214"),
+    (("--protocol", "psr", "--c", "2", "--seed", "5", "--delta", "60", "--shared", "40"),
+     "a8da6135b240b7a262e9c871953baa58484b1e240791169fb8c56acd2c158398"),
+    (("--protocol", "epsr", "--c", "2", "--seed", "5", "--delta", "60", "--shared", "40"),
+     "0e65a600562e5a0bd6f79ddc0d9cf0b36764df8915392a8c9ff7112a62e86302"),
+    (("--protocol", "psr", "--c", "3", "--seed", "5", "--delta", "60", "--shared", "40"),
+     "c57edb9cfc39c7b1a59c345dda28c2795600796068c5281d375334868a51e918"),
+    (("--protocol", "epsr", "--c", "3", "--seed", "5", "--delta", "60", "--shared", "40"),
+     "d5d01f849bd117d37d546529fe3b38d04843bea049bb3d327e98d08b15539e3e"),
+    (("--protocol", "epsr", "--probs", "0.15,0.1,0.25,0.2,0.3", "--seed", "9",
+      "--delta", "300", "--shared", "2000", "--mbar", "5"),
+     "fab966491caa74f788fca416fefc12198a4ca507e4e76b5a172512a8dbdfb838"),
+    (("--protocol", "psr", "--probs", "99/100,1/100", "--seed", "3",
+      "--delta", "300", "--shared", "0", "--mbar", "1"),  # 522 rounds
+     "431b496d2d6e3b3c6a66c43ad2e590cd5d7bf7f1143d81ab921906b3b395716b"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", RECONCILE_DIGESTS,
+                         ids=[" ".join(argv) for argv, _ in RECONCILE_DIGESTS])
+def test_reconcile_golden_digest(argv, digest, tmp_path, capsys):
+    import hashlib
+
+    trace = tmp_path / "wire.txt"
+    assert run_cli("reconcile", *argv, "--trace", str(trace)) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout + trace.read_bytes()).hexdigest() == digest
 
 
 def test_verify_reports_failure_exit_code(monkeypatch, tmp_path, capsys):

@@ -113,14 +113,6 @@ def test_next_prime(start, expected):
     assert fm.next_prime(start) == expected
 
 
-def test_inv_mod():
-    q = 10007
-    for a in (1, 2, 5000, q - 1):
-        assert a * fm.inv_mod(a, q) % q == 1
-    with pytest.raises(ValueError):
-        fm.inv_mod(0, q)
-
-
 def _rand_poly(rng, deg, q):
     p = [rng.randrange(q) for _ in range(deg)] + [rng.randrange(1, q)]
     return p

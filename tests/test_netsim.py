@@ -7,7 +7,7 @@ import pytest
 
 from setrecon import netsim
 from setrecon import protocol as proto
-from setrecon.partition import PartitionSchedule, fair_probs, round_optimal_probs
+from setrecon.partition import PartitionSchedule, fair_probs, key_range, round_optimal_probs
 from setrecon.sketch import wire_cost
 
 
@@ -191,7 +191,7 @@ def test_conservation_and_equivalence_with_protocol_engines():
         tree = netsim.sample_placement_tree(delta, 2, fair_probs(2), rng)
         words = _words_for_tree(tree)
         elements = list(range(1, len(words) + 1))
-        placement = proto.TablePlacement(dict(zip(elements, words)))
+        placement = {e: key_range(fair_probs(2), w)[0] for e, w in zip(elements, words)}
         set_a = set(elements[0::2])
         set_b = set(elements[1::2])
         config = proto.ProtocolConfig(2, 1, 16, fair_probs(2))
@@ -234,7 +234,7 @@ def test_conservation_c3_sequential_splits():
         tree = netsim.sample_placement_tree(delta, 2, sched, rng)
         words = _words_for_tree(tree)
         elements = list(range(1, len(words) + 1))
-        placement = proto.TablePlacement(dict(zip(elements, words)))
+        placement = {e: key_range(sched, w)[0] for e, w in zip(elements, words)}
         config = proto.ProtocolConfig(2, 1, 16, sched)
         walker = _tree_counts(tree, 2, 3)
         for protocol, engine in (("psr", proto.psr_reconcile), ("epsr", proto.epsr_reconcile)):

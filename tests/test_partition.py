@@ -45,12 +45,17 @@ def reference_interval(schedule, path) -> tuple[Fraction, Fraction]:
     return lo, lo + width
 
 
+def first_key(schedule, path) -> int:
+    """Smallest key of the partition at path (the left end, rounded up)."""
+    return pt.key_range(schedule, path)[0]
+
+
 def bounds_word(schedule, key: int, depth: int) -> tuple[int, ...]:
     """The word the first keys give: at each level, the last child whose
     first key is at or below `key` (the cut a partition index makes)."""
     word = ()
     for _ in range(depth):
-        word += (max(j for j in range(schedule.c) if pt.first_key(schedule, word + (j,)) <= key),)
+        word += (max(j for j in range(schedule.c) if first_key(schedule, word + (j,)) <= key),)
     return word
 
 
@@ -133,7 +138,7 @@ def test_multinomial_placement_chi_square():
     trials, per = 10_000, 5
     hist = [0] * (per + 1)
     for t in range(trials):
-        left = sum(pt.key_of(t * per + j, 9) < pt.first_key(sched, (1,)) for j in range(per))
+        left = sum(pt.key_of(t * per + j, 9) < first_key(sched, (1,)) for j in range(per))
         hist[left] += 1
     chi2 = 0.0
     for k, got in enumerate(hist):
@@ -156,16 +161,17 @@ def test_path_word_roundtrip():
 
 def test_first_key_boundary():
     sched = pt.fair_probs(2)
-    assert pt.first_key(sched, ()) == pt.first_key(sched, (0, 0, 0)) == 0
-    assert pt.first_key(sched, (1,)) == KEY_SPACE // 2
-    assert pt.first_key(sched, (1, 1)) == 3 * KEY_SPACE // 4
+    assert pt.key_range(sched, ()) == (0, KEY_SPACE)
+    assert first_key(sched, ()) == first_key(sched, (0, 0, 0)) == 0
+    assert first_key(sched, (1,)) == KEY_SPACE // 2
+    assert first_key(sched, (1, 1)) == 3 * KEY_SPACE // 4
     assert bounds_word(sched, KEY_SPACE // 2, 1) == (1,)
     assert bounds_word(sched, KEY_SPACE // 2 - 1, 2) == (0, 1)
     assert bounds_word(sched, 0, 3) == (0, 0, 0)
     # depth 64 is one key wide; at 65 every other interval holds no key
     # and starts at the next key
-    assert pt.first_key(sched, (0,) * 63 + (1,)) == 1
-    assert pt.first_key(sched, (0,) * 64 + (1,)) == 1
+    assert first_key(sched, (0,) * 63 + (1,)) == 1
+    assert first_key(sched, (0,) * 64 + (1,)) == 1
 
 
 @pytest.mark.parametrize("schedule, depth", [
@@ -189,10 +195,23 @@ def test_first_key_is_rounded_up_left_end(schedule, data):
     path = tuple(data.draw(st.lists(st.integers(0, schedule.c - 1),
                                     min_size=depth, max_size=depth)))
     lo, hi = reference_interval(schedule, path)
-    first = pt.first_key(schedule, path)
+    first = first_key(schedule, path)
     assert first == ceil_key(lo)
     if first < KEY_SPACE and Fraction(first, KEY_SPACE) < hi:
         assert reference_word(schedule, Fraction(first, KEY_SPACE), len(path)) == path
+
+
+@settings(max_examples=400, deadline=None)
+@given(schedule=st.sampled_from(EXACTNESS_SCHEDULES), data=st.data())
+def test_key_range_children_tile_parent(schedule, data):
+    depth = data.draw(DEPTHS)
+    path = tuple(data.draw(st.lists(st.integers(0, schedule.c - 1),
+                                    min_size=depth, max_size=depth)))
+    first, end = pt.key_range(schedule, path)
+    children = [pt.key_range(schedule, path + (j,)) for j in range(schedule.c)]
+    assert children[0][0] == first and children[-1][1] == end
+    for (_, child_end), (next_first, _) in zip(children, children[1:]):
+        assert child_end == next_first
 
 
 @settings(max_examples=400, deadline=None)
@@ -219,7 +238,7 @@ def test_integer_word_exact_at_child_boundaries(schedule, data):
     cum = (0, *accumulate(schedule.probs))
     boundary = lo + cum[j] * (hi - lo)
     first = ceil_key(boundary)
-    assert pt.first_key(schedule, path + (j,)) == first
+    assert first_key(schedule, path + (j,)) == first
     for key in (first - 1, first, first + 1):
         if 0 <= key < KEY_SPACE:
             assert bounds_word(schedule, key, depth) == reference_word(

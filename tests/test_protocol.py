@@ -18,7 +18,13 @@ from test_partition import (
 
 from setrecon import protocol as proto
 from setrecon import sketch as sk
-from setrecon.partition import fair_probs, key_of, round_optimal_probs, schedule_from_strings
+from setrecon.partition import (
+    fair_probs,
+    key_of,
+    key_range,
+    round_optimal_probs,
+    schedule_from_strings,
+)
 
 FIG2_TRACE = [
     "a_to_b,1,-,0", "b_to_a,1,-,22",
@@ -138,17 +144,6 @@ def test_partition_index_sketches_match_members(sched, depth):
             index.sketch(bad)
 
 
-class _KeyTable(proto.HashPlacement):
-    """Hashed placement with the keys given: element i has keys[i]."""
-
-    def __init__(self, schedule, keys):
-        super().__init__(schedule, 0)
-        self.keys = keys
-
-    def key(self, element):
-        return self.keys[element]
-
-
 @settings(max_examples=60, deadline=None)
 @given(schedule=st.sampled_from(EXACTNESS_SCHEDULES), data=st.data())
 def test_partition_index_slices_match_reference_words(schedule, data):
@@ -164,7 +159,7 @@ def test_partition_index_slices_match_reference_words(schedule, data):
             keys |= {ceil_key(lo) + k for k in (-1, 0, 1)}
     keys = sorted(k for k in keys if 0 <= k < KEY_SPACE)
     cfg = proto.ProtocolConfig(3, 1, 32, schedule)
-    index = proto.PartitionIndex(range(len(keys)), cfg, _KeyTable(schedule, keys))
+    index = proto.PartitionIndex(range(len(keys)), cfg, dict(enumerate(keys)))
     words = [reference_word(schedule, Fraction(k, KEY_SPACE), depth + 1) for k in keys]
     for d in range(depth + 1):
         for node in [path[:d]] + [path[:d] + (j,) for j in range(schedule.c)]:
@@ -200,7 +195,7 @@ def test_partition_index_refuses_duplicates():
     cfg = proto.ProtocolConfig(3, 1, 32, fair_probs(2))
     elements = random.Random(1).sample(range(1 << 32), 300)
     with pytest.raises(sk.ElementError, match="duplicate"):
-        proto.PartitionIndex(elements + elements[:1], cfg, _AllZeros(cfg.schedule, 0))
+        proto.PartitionIndex(elements + elements[:1], cfg, dict.fromkeys(elements, 0))
 
 
 @pytest.mark.parametrize("sched", [fair_probs(2), round_optimal_probs(4)],
@@ -372,18 +367,12 @@ def test_epsr_engine_matches_recursive_reference(schedule, c, monkeypatch):
         assert runs[0][0][0].a_only == a_only and runs[0][0][0].b_only == b_only
 
 
-class _AllZeros(proto.HashPlacement):
-    """Placement that never separates: every element has key 0."""
-
-    def key(self, element):
-        return 0
-
-
 @pytest.mark.parametrize("engine", [proto.psr_reconcile, proto.epsr_reconcile],
                          ids=["psr", "epsr"])
 def test_depth_guard(engine):
+    # a placement that never separates: every element has key 0
     cfg = proto.ProtocolConfig(1, 1, 32, fair_probs(2))
-    placement = _AllZeros(cfg.schedule, 0)
+    placement = dict.fromkeys(range(1, 11), 0)
     with pytest.raises(proto.ProtocolError, match="placement not separating"):
         engine(set(range(1, 11)), proto.make_loopback(set(), cfg, placement), cfg, placement)
 
@@ -399,6 +388,49 @@ def test_skewed_schedule_separates_past_64_levels(engine):
     res, m = engine(set_a, proto.make_loopback(set(), cfg), cfg)
     assert res.a_only == set_a and not res.b_only
     assert m.rounds > 128
+
+
+@pytest.mark.parametrize("engine", [proto.psr_reconcile, proto.epsr_reconcile],
+                         ids=["psr", "epsr"])
+def test_never_silently_wrong_on_small_universe(engine):
+    # 6-bit elements and gamma 0 make false recoveries common; each must be
+    # caught, so every run gives the exact difference or a ProtocolError
+    rng = random.Random(1)
+    wrong = []
+    for i in range(2000):
+        delta = rng.randint(0, 50)
+        shared = rng.randint(0, 64 - delta)
+        pool = rng.sample(range(64), delta + shared)
+        n_a = rng.randint(0, delta)
+        a_only, b_only, common = set(pool[:n_a]), set(pool[n_a:delta]), set(pool[delta:])
+        cfg = proto.ProtocolConfig(3, 0, 6, fair_probs(2), hash_seed=i)
+        try:
+            res, _ = engine(a_only | common, proto.make_loopback(b_only | common, cfg), cfg)
+        except proto.ProtocolError:
+            continue
+        if res.a_only != a_only or res.b_only != b_only:
+            wrong.append(i)
+    assert wrong == []
+
+
+def test_recover_checks_membership_and_placement():
+    # a recovered piece counts only if it can be the difference at its path
+    cfg = proto.ProtocolConfig(3, 1, 32, fair_probs(2))
+    placement = {1: 0, 2: KEY_SPACE // 2, 3: KEY_SPACE // 2}  # 1 in (0,), 2 and 3 in (1,)
+    run = proto._Run([1, 2], None, cfg, placement)
+
+    def diff(a_only, b_only):
+        field = cfg.field_config
+        return sk.subtract(sk.sketch_of(field, a_only), sk.sketch_of(field, b_only))
+
+    assert not run.recover((0,), diff([2], []))  # A's element outside the partition
+    assert not run.recover((0,), diff([4], []))  # A-only element not in A
+    assert not run.recover((1,), diff([], [2]))  # B-only element in A
+    assert not run.recover((1,), diff([], [5]))  # B-only element with no key
+    assert not run.recover((0,), diff([], [3]))  # B-only element outside the partition
+    assert run.a_only == run.b_only == set()
+    assert run.recover((1,), diff([2], [3]))
+    assert run.a_only == {2} and run.b_only == {3}
 
 
 def test_same_partitions_split():
@@ -513,15 +545,16 @@ def test_wrong_config_reply_rejected():
 
 def test_table_placement_errors():
     cfg = proto.ProtocolConfig(3, 1, 32, fair_probs(2))
-    placement = proto.TablePlacement({1: (0, 1), 2: (0,)})
-    # an element with no word is refused when the index is built
+    placement = {1: key_range(cfg.schedule, (0, 1))[0], 2: key_range(cfg.schedule, (0,))[0]}
+    # an element with no key is refused when the index is built
     with pytest.raises(proto.ProtocolError, match="no placement for element 3"):
         proto.PartitionIndex([1, 3], cfg, placement)
-    # a word too short is refused on the split that needs it, and only there
+    # so is a key outside the 64-bit key space
+    for key in (-1, KEY_SPACE):
+        with pytest.raises(proto.ProtocolError, match="outside"):
+            proto.PartitionIndex([1, 2], cfg, {1: 0, 2: key})
     index = proto.PartitionIndex([1, 2], cfg, placement)
     assert _members(index, (0,)) == [2, 1] and _members(index, (1,)) == []
-    with pytest.raises(proto.ProtocolError, match="element 2 shorter than depth 2"):
-        _members(index, (0, 1))
     assert _members(proto.PartitionIndex([1], cfg, placement), (0, 1)) == [1]
 
 

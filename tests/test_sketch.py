@@ -284,13 +284,3 @@ def test_subtract_matches_pointwise_inverse(bits, data):
     got = sk.subtract(za, zb)
     assert got.values == tuple(a * pow(b, -1, q) % q for a, b in zip(va, vb))
     assert got.count == za.count - zb.count
-
-
-def test_union_is_sketch_of_disjoint_union():
-    cfg = sk.field_setup(64, 5, 1)
-    rng = random.Random(4)
-    parts = [rng.sample(range(1000 * i, 1000 * (i + 1)), 40) for i in range(40)]
-    union = sk.union([sk.sketch_of(cfg, part) for part in parts])
-    assert union == sk.sketch_of(cfg, [e for part in parts for e in part])
-    with pytest.raises(sk.MismatchError):
-        sk.union([sk.new_sketch(cfg), sk.new_sketch(sk.field_setup(64, 4, 1))])
