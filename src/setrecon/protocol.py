@@ -96,10 +96,6 @@ class ReconcileResult:
     a_only: frozenset[int]
     b_only: frozenset[int]
 
-    @property
-    def symmetric_difference(self) -> frozenset[int]:
-        return self.a_only | self.b_only
-
 
 _CHUNK = 64  # sorted elements between prefix sketches
 
@@ -184,9 +180,6 @@ class ProtocolTrace:
         for line in self.lines():
             fobj.write(line + "\n")
 
-    def transmitted_paths(self) -> list[tuple[int, ...]]:
-        return [r.path for r in self.records if r.direction == "b_to_a"]
-
 
 class Responder:
     """B-side request handler serving serialized partition sketches.  B's
@@ -263,23 +256,21 @@ class _Run:
         outcome = sk.recover(z)
         if not (outcome.flag and self._placed(path, outcome)):
             return False
-        # Recovered pieces come from disjoint partitions (or disjoint
-        # residuals) and must never overlap.
-        if (self.a_only & outcome.recovered_a) or (self.b_only & outcome.recovered_b):
-            raise ProtocolError("overlapping recoveries; inconsistent replies")
         self.a_only |= outcome.recovered_a
         self.b_only |= outcome.recovered_b
         return True
 
     def _placed(self, path: tuple[int, ...], outcome: sk.RecoveryOutcome) -> bool:
         """Whether a recovered piece can be the difference at `path`: its
-        A-only elements are A's, its B-only ones are not, and every key lies
-        in the partition.  A success that fails it counts as a failed
-        recovery, so the engine splits further."""
-        members = self.index.members
-        if not (outcome.recovered_a <= members and members.isdisjoint(outcome.recovered_b)):
+        A-only elements are A's, its B-only ones are not, none is merged
+        already (pieces come from disjoint partitions or residuals), and
+        every key lies in the partition.  A success that fails it counts as
+        a failed recovery, so the engine splits further."""
+        members, got_a, got_b = self.index.members, outcome.recovered_a, outcome.recovered_b
+        if not (got_a <= members and members.isdisjoint(got_b)
+                and self.a_only.isdisjoint(got_a) and self.b_only.isdisjoint(got_b)):
             return False
-        keys = list(map(self.index.key, outcome.recovered_a | outcome.recovered_b))
+        keys = list(map(self.index.key, got_a | got_b))
         if not keys:
             return True
         first, end = key_range(self.config.schedule, path)

@@ -155,61 +155,45 @@ def wire_cost(mbar: int, gamma: int, element_bits: int) -> int:
     return (mbar + gamma + 1) * (element_bits + 1) - 1
 
 
-def _solve_monic_pair(points, values, m_a: int, m_b: int, q: int):
-    """Solve for monic P (deg m_a) and Q (deg m_b) with P(z) = v*Q(z) at the
-    given points.  Returns (P, Q) or None if the system is inconsistent.
-    Free variables (common-factor padding) are set to zero."""
-    ncols = m_a + m_b
-    rows = []
-    for z, v in zip(points, values):
-        row = [0] * (ncols + 1)
-        zp = 1
-        for j in range(m_a):
-            row[j] = zp
-            zp = zp * z % q
-        rhs = v * pow(z, m_b, q) - zp  # zp == z^m_a here
-        zp = 1
-        for j in range(m_b):
-            row[m_a + j] = (-v * zp) % q
-            zp = zp * z % q
-        row[ncols] = rhs % q
-        rows.append(row)
-
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][col], -1, q)
-        rows[r] = [c * inv % q for c in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(ci - f * cr) % q for ci, cr in zip(rows[i], rows[r])]
-        pivot_of_col[col] = r
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][ncols]:
-            return None
-
-    x = [0] * ncols
-    for col, prow in pivot_of_col.items():
-        x[col] = rows[prow][ncols]
-    return x[:m_a] + [1], x[m_a:] + [1]
+def _rational(points, values, m_a: int, q: int):
+    """P/Q with deg P <= m_a, deg Q <= len(points) - 1 - m_a, Q monic and
+    P(z) = v*Q(z) at the given consecutive points: the extended Euclidean
+    algorithm on (prod(Z - z), R), where R interpolates the values, stopped
+    at the first remainder of degree <= m_a."""
+    # Newton divided differences; consecutive points divide order j by j.
+    coef = list(values)
+    for j in range(1, len(coef)):
+        inv = pow(j, -1, q)
+        for i in range(len(coef) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) * inv % q
+    # r_prev = prod(Z - z); r is the interpolant, by Horner in Newton form.
+    r_prev, r = [1], []
+    for z, c in zip(reversed(points), reversed(coef)):
+        r_prev = fm.poly_mul(r_prev, [-z % q, 1], q)
+        r = fm.poly_sub(fm.poly_mul(r, [-z % q, 1], q), [-c % q], q)
+    # Invariant: r = t*R mod prod(Z - z), and deg t = len(points) - deg r_prev.
+    t_prev, t = [], [1]
+    while len(r) - 1 > m_a:
+        quo, rem = fm.poly_divmod(r_prev, r, q)
+        r_prev, r = r, rem
+        t_prev, t = t, fm.poly_sub(t_prev, fm.poly_mul(quo, t, q), q)
+    inv = pow(t[-1], -1, q)
+    return fm.poly_mul_scalar(r, inv, q), fm.poly_mul_scalar(t, inv, q)
 
 
-def recover(sk: SRSketch, rng: random.Random | None = None) -> RecoveryOutcome:
+def recover(sk: SRSketch) -> RecoveryOutcome:
     """Attempt to recover the represented one-sided differences.
 
-    Succeeds (with the exact difference) whenever the sketch is the
-    subtraction of two pure-set sketches whose symmetric difference has at
-    most mbar elements.  Larger differences fail, up to the false-success
+    Rational function reconstruction: the extended Euclidean algorithm
+    finds P/Q from the first evaluations, the remaining ones verify it, and
+    the roots of P and Q are the A-only and B-only elements.  Succeeds
+    (with the exact difference) whenever the sketch is the subtraction of
+    two pure-set sketches whose symmetric difference has at most mbar
+    elements.  Larger differences fail, up to the false-success
     probability controlled by gamma.  All failure paths fold into
-    flag=False.  The randomized root splitting draws from `rng`; by
-    default a generator seeded from the sketch content is used, so the
-    outcome is a pure function of the sketch.
+    flag=False.  The randomized root splitting draws from a generator
+    seeded from the sketch content, so the outcome is a pure function of
+    the sketch.
     """
     cfg = sk.config
     q = cfg.modulus
@@ -219,31 +203,24 @@ def recover(sk: SRSketch, rng: random.Random | None = None) -> RecoveryOutcome:
     # Largest degree budget with the parity of delta that still fits mbar;
     # the true difference always has d_a + d_b ≡ delta (mod 2).
     span = cfg.mbar - ((cfg.mbar + delta) & 1)
-    m_a = (span + delta) // 2
-    m_b = (span - delta) // 2
     k = span + 1
-    solved = _solve_monic_pair(cfg.eval_points[:k], sk.values[:k], m_a, m_b, q)
-    if solved is None:
+    p, qq = _rational(cfg.eval_points[:k], sk.values[:k], (span + delta) // 2, q)
+    # Both characteristic polynomials are monic, and their degrees differ
+    # by the count.
+    if not p or p[-1] != 1 or len(p) - len(qq) != delta:
         return _FAILED
-    p, qq = solved
     for z, v in zip(cfg.eval_points[k:], sk.values[k:]):
         if fm.poly_eval(p, z, q) != v * fm.poly_eval(qq, z, q) % q:
             return _FAILED
-    g = fm.poly_gcd(p, qq, q)
-    if len(g) > 1:
-        p = fm.poly_divmod(p, g, q)[0]
-        qq = fm.poly_divmod(qq, g, q)[0]
-    deg_a, deg_b = len(p) - 1, len(qq) - 1
-    if deg_a + deg_b > cfg.mbar or deg_a - deg_b != delta:
-        return _FAILED
-    if rng is None:
-        rng = random.Random(int.from_bytes(_content_digest(sk), "little"))
+    rng = random.Random(int.from_bytes(_content_digest(sk), "little"))
     roots_a = fm.find_distinct_roots(p, q, rng)
     if roots_a is None:
         return _FAILED
     roots_b = fm.find_distinct_roots(qq, q, rng)
     if roots_b is None:
         return _FAILED
+    # A factor common to P and Q divides prod(Z - z) and so puts a root at
+    # an evaluation point, outside the universe.
     limit = cfg.universe_size
     if any(r >= limit for r in roots_a) or any(r >= limit for r in roots_b):
         return _FAILED

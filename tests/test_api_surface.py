@@ -1,8 +1,12 @@
-"""Every function or class the package exports is used by the package.
+"""Every name the package exports, and every helper it keeps, has a caller.
 
+Three kinds of name are checked: the functions and classes that
+`setrecon/__init__.py` exports, the public methods and properties of the
+exported classes, and the private module-level functions of every module.
 A name counts as used when some module under src/setrecon/ other than
-__init__.py refers to it (as a bare name or as an attribute) outside the
-definition that introduces it.  An export that only the tests call is
+__init__.py refers to it (as a bare name or as an attribute).  A definition
+referring to itself (recursion, a class naming itself, `self.name` inside
+the method `name`) does not count.  A name that only the tests call is
 test-only API: delete it, or move it into the tests as a reference.
 """
 
@@ -13,9 +17,17 @@ from pathlib import Path
 import setrecon
 
 PACKAGE_DIR = Path(setrecon.__file__).parent
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-# Exports allowed to have no caller in the package, each with its reason.
+# Names allowed to have no caller in the package, each with its reason.
 ALLOWED_UNUSED: dict[str, str] = {}
+
+
+def _modules() -> list[ast.Module]:
+    return [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "__init__.py"
+    ]
 
 
 def _exported_callables() -> list[str]:
@@ -25,37 +37,45 @@ def _exported_callables() -> list[str]:
     )
 
 
-def _references(tree: ast.AST, skip: ast.AST | None = None):
-    """Names and attribute names referred to in tree, outside `skip`."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        stack.extend(ast.iter_child_nodes(node))
+def _public_members() -> list[str]:
+    """Methods and properties that exported classes define themselves."""
+    return sorted(
+        f"{cls.__name__}.{name}"
+        for cls in map(vars(setrecon).get, _exported_callables()) if inspect.isclass(cls)
+        for name, obj in vars(cls).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or isinstance(obj, (property, staticmethod, classmethod)))
+    )
+
+
+def _private_functions() -> list[str]:
+    return sorted(
+        node.name for module in _modules() for node in module.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    )
+
+
+def _self_reference(node: ast.AST, name: str) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == name
+    return (node.attr == name and isinstance(node.value, ast.Name)
+            and node.value.id in ("self", "cls"))
 
 
 def _used_names() -> set[str]:
     used: set[str] = set()
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        module = ast.parse(path.read_text(encoding="utf-8"))
-        definitions = {
-            node.name: node for node in module.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        }
-        everywhere = set(_references(module))
-        for name in everywhere:
-            # a reference that only the definition itself makes (recursion,
-            # a class naming itself) does not count
-            own = definitions.get(name)
-            if own is None or name in _references(module, skip=own):
-                used.add(name)
+    for module in _modules():
+        stack: list[tuple[ast.AST, frozenset[str]]] = [(module, frozenset())]
+        while stack:
+            node, enclosing = stack.pop()
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                if name not in enclosing or not _self_reference(node, name):
+                    used.add(name)
+            if isinstance(node, _DEFINITIONS):
+                enclosing |= {node.name}
+            stack.extend((child, enclosing) for child in ast.iter_child_nodes(node))
     return used
 
 
@@ -66,3 +86,20 @@ def test_every_export_has_a_caller_in_the_package():
     unused = [name for name in exported if name not in used and name not in ALLOWED_UNUSED]
     assert unused == [], f"exported but used only outside the package: {unused}"
     assert set(ALLOWED_UNUSED) <= set(exported), "stale entry in ALLOWED_UNUSED"
+
+
+def test_every_public_member_has_a_caller_in_the_package():
+    members = _public_members()
+    assert "ProtocolTrace.lines" in members  # the scan found methods
+    assert "FieldConfig.n_points" in members  # and properties
+    used = _used_names()
+    unused = [m for m in members if m.split(".")[1] not in used]
+    assert unused == [], f"public members used only outside the package: {unused}"
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    private = _private_functions()
+    assert "_content_digest" in private  # the scan found private helpers
+    used = _used_names()
+    unused = [name for name in private if name not in used]
+    assert unused == [], f"private functions with no caller: {unused}"

@@ -5,7 +5,72 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setrecon import fieldmath as fm
 from setrecon import sketch as sk
+
+
+def _solve_monic_pair(points, values, m_a, m_b, q):
+    # Gauss-Jordan for monic P (deg m_a) and Q (deg m_b) with P(z) = v*Q(z)
+    # at the points; free variables are set to zero.  None if inconsistent.
+    ncols = m_a + m_b
+    rows = []
+    for z, v in zip(points, values):
+        row = [pow(z, j, q) for j in range(m_a)]
+        row += [(-v * pow(z, j, q)) % q for j in range(m_b)]
+        row.append((v * pow(z, m_b, q) - pow(z, m_a, q)) % q)
+        rows.append(row)
+    pivot_of_col = {}
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][col], -1, q)
+        rows[r] = [c * inv % q for c in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(ci - f * cr) % q for ci, cr in zip(rows[i], rows[r])]
+        pivot_of_col[col] = r
+        r += 1
+    if any(row[ncols] for row in rows[r:]):
+        return None
+    x = [0] * ncols
+    for col, prow in pivot_of_col.items():
+        x[col] = rows[prow][ncols]
+    return x[:m_a] + [1], x[m_a:] + [1]
+
+
+def reference_recover(z):
+    """`sk.recover` as a Gauss-Jordan solve of the monic pair, reduced by
+    their gcd."""
+    cfg, q, delta = z.config, z.config.modulus, z.count
+    if abs(delta) > cfg.mbar:
+        return sk.RecoveryOutcome(False, frozenset(), frozenset())
+    span = cfg.mbar - ((cfg.mbar + delta) & 1)
+    k = span + 1
+    solved = _solve_monic_pair(cfg.eval_points[:k], z.values[:k],
+                               (span + delta) // 2, (span - delta) // 2, q)
+    failed = sk.RecoveryOutcome(False, frozenset(), frozenset())
+    if solved is None:
+        return failed
+    p, qq = solved
+    for pt, v in zip(cfg.eval_points[k:], z.values[k:]):
+        if fm.poly_eval(p, pt, q) != v * fm.poly_eval(qq, pt, q) % q:
+            return failed
+    g = fm.poly_gcd(p, qq, q)
+    if len(g) > 1:
+        p = fm.poly_divmod(p, g, q)[0]
+        qq = fm.poly_divmod(qq, g, q)[0]
+    if len(p) + len(qq) - 2 > cfg.mbar or len(p) - len(qq) != delta:
+        return failed
+    rng = random.Random(int.from_bytes(sk._content_digest(z), "little"))
+    roots_a = fm.find_distinct_roots(p, q, rng)
+    roots_b = None if roots_a is None else fm.find_distinct_roots(qq, q, rng)
+    if roots_b is None or max(roots_a + roots_b, default=0) >= cfg.universe_size:
+        return failed
+    return sk.RecoveryOutcome(True, frozenset(roots_a), frozenset(roots_b))
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +239,45 @@ def test_false_success_rate_bounded():
         assert hits / trials_per_size <= bound, (size, hits)
 
 
+# (element_bits, mbar, gamma, cases): tiny fields, where false successes
+# are common, and the benchmark's wide fields.
+DIFFERENTIAL_CONFIGS = [
+    (6, 3, 0, 3500), (4, 4, 1, 3500), (8, 3, 1, 3500), (16, 2, 1, 2500),
+    (16, 6, 1, 2000), (64, 25, 1, 40), (256, 16, 1, 40),
+]
+
+
+def test_recover_matches_reference():
+    # same outcome as the Gauss-Jordan path, for difference sizes 0 ..
+    # 2*mbar+3 split at random between the two sides; where the two differ,
+    # the reference is falsely successful and the extended-Euclid path
+    # refuses
+    rng = random.Random(17)
+    for bits, mbar, gamma, cases in DIFFERENTIAL_CONFIGS:
+        cfg = sk.field_setup(bits, mbar, gamma)
+        for i in range(cases):
+            size = min(i % (2 * mbar + 4), 1 << bits)
+            pool = set()
+            while len(pool) < size:
+                pool.add(rng.getrandbits(bits))
+            pool = sorted(pool)
+            rng.shuffle(pool)
+            n_a = rng.randint(0, size)
+            a, b = frozenset(pool[:n_a]), frozenset(pool[n_a:])
+            z = sk.subtract(sk.sketch_of(cfg, a), sk.sketch_of(cfg, b))
+            got, want = sk.recover(z), reference_recover(z)
+            if got != want:
+                assert want.flag and not got.flag, (bits, mbar, gamma, a, b)
+                assert (want.recovered_a, want.recovered_b) != (a, b)
+    # one such case: P and Q share the factor Z - 64, a root at an
+    # evaluation point; the reference divides it out and finds B-only {24}
+    # for a difference of nine
+    cfg = sk.field_setup(6, 3, 0)
+    z = sk.subtract(sk.sketch_of(cfg, [30, 39, 47, 56]), sk.sketch_of(cfg, [10, 19, 37, 55, 61]))
+    assert reference_recover(z) == sk.RecoveryOutcome(True, frozenset(), frozenset({24}))
+    assert not sk.recover(z).flag
+
+
 def test_roundtrip_without_verification_points():
     # gamma=0 leaves no spare evaluations; recovery still works for true
     # differences of either parity
@@ -219,6 +323,11 @@ def test_serialization_roundtrip(cfg4):
 def test_recover_deterministic(cfg4):
     d = sk.subtract(sk.sketch_of(cfg4, [3, 5]), sk.sketch_of(cfg4, [5, 7]))
     assert sk.recover(d) == sk.recover(d)
+    cfg = sk.field_setup(16, 6, 1)
+    d = sk.subtract(sk.sketch_of(cfg, [10, 20, 30]), sk.sketch_of(cfg, [30, 40, 50, 60]))
+    out = sk.recover(d)
+    assert out == sk.recover(d) and out.flag
+    assert out.recovered_a == {10, 20} and out.recovered_b == {40, 50, 60}
 
 
 def test_wire_cost_examples():
