@@ -473,6 +473,19 @@ def test_c3_round_optimal_end_to_end():
     assert epsr_m.sketches_transmitted < psr_m.sketches_transmitted
 
 
+def test_recover_accepts_external_rng():
+    # recover takes no rng of its own: whatever state the caller's generators
+    # are in, its outcome is a pure function of the sketch
+    cfg = sk.field_setup(16, 6, 1)
+    d = sk.subtract(sk.sketch_of(cfg, [10, 20, 30]), sk.sketch_of(cfg, [30, 40, 50, 60]))
+    random.seed(5)
+    out1 = sk.recover(d)
+    random.seed(6)
+    out2 = sk.recover(d)
+    assert out1 == out2 and out1.flag
+    assert out1.recovered_a == {10, 20} and out1.recovered_b == {40, 50, 60}
+
+
 def test_metrics_match_expectation_tables():
     # sample means of the engines' counters agree with the recursions:
     # hashed placement of distinct elements is exactly the multinomial model
