@@ -104,9 +104,9 @@ class PartitionIndex:
     """One party's elements sorted by placement key: the partition at a path
     is the slice of keys in its `key_range`.  Prefix sketches, one every
     `_CHUNK` elements and one of the whole set, are made at construction;
-    a node's sketch, kept once made, is the ratio of the prefixes around its
-    slice with its < 2 * `_CHUNK` ends inserted.  `placement` maps elements
-    to keys; by default an element's key is `key_of(element, hash_seed)`."""
+    a node's sketch is the ratio of the prefixes around its slice with its
+    < 2 * `_CHUNK` ends inserted.  `placement` maps elements to keys; by
+    default an element's key is `key_of(element, hash_seed)`."""
 
     def __init__(self, elements, config: ProtocolConfig, placement=None):
         self._schedule, self._field = config.schedule, config.field_config
@@ -122,34 +122,36 @@ class PartitionIndex:
         order = sorted(range(len(keys)), key=keys.__getitem__)
         self._keys = [keys[i] for i in order]
         self._elements = [elements[i] for i in order]
-        if self._slice(()) != (0, len(keys)):
+        if self._slice(*self.span(())) != (0, len(keys)):
             raise ProtocolError("placement key outside [0, 2^64)")
         self._prefix = [sk.new_sketch(self._field)]
         for i in range(0, len(keys), _CHUNK):
             self._prefix.append(sk.insert_set(self._prefix[-1], self._elements[i:i + _CHUNK]))
-        self._sketches: dict[tuple[int, ...], sk.SRSketch] = {}
 
-    def _slice(self, path: tuple[int, ...]) -> tuple[int, int]:
+    def span(self, path: tuple[int, ...]) -> tuple[int, int]:
+        """The `key_range` (first, end) of the partition at `path`."""
         if len(path) > self._schedule.key_depth:
             raise ProtocolError("tree too deep; placement not separating: two keys collide")
         if path and not 0 <= min(path) <= max(path) < self._schedule.c:
             raise ProtocolError(f"no partition at path {path}")
-        first, end = key_range(self._schedule, path)
+        return key_range(self._schedule, path)
+
+    def _slice(self, first: int, end: int) -> tuple[int, int]:
         return bisect_left(self._keys, first), bisect_left(self._keys, end)
 
+    def elements_in(self, first: int, end: int) -> list[int]:
+        """The elements whose keys k have first <= k < end, in key order."""
+        lo, hi = self._slice(first, end)
+        return self._elements[lo:hi]
+
     def sketch(self, path: tuple[int, ...]) -> sk.SRSketch:
-        z = self._sketches.get(path)
-        if z is None:
-            lo, hi = self._slice(path)
-            first = -(-lo // _CHUNK)
-            last = len(self._prefix) - 1 if hi == len(self._elements) else hi // _CHUNK
-            if first < last:
-                ends = self._elements[lo:first * _CHUNK] + self._elements[last * _CHUNK:hi]
-                z = sk.insert_set(sk.subtract(self._prefix[last], self._prefix[first]), ends)
-            else:
-                z = sk.sketch_of(self._field, self._elements[lo:hi])
-            self._sketches[path] = z
-        return z
+        lo, hi = self._slice(*self.span(path))
+        first = -(-lo // _CHUNK)
+        last = len(self._prefix) - 1 if hi == len(self._elements) else hi // _CHUNK
+        if first < last:
+            ends = self._elements[lo:first * _CHUNK] + self._elements[last * _CHUNK:hi]
+            return sk.insert_set(sk.subtract(self._prefix[last], self._prefix[first]), ends)
+        return sk.sketch_of(self._field, self._elements[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -190,11 +192,15 @@ class Responder:
         self.config = config
         self._fingerprint = config.fingerprint()
         self._index = PartitionIndex(set_b, config, placement)
+        self._sketches: dict[tuple[int, ...], sk.SRSketch] = {}
 
     def reply(self, fingerprint: str, path: tuple[int, ...]) -> bytes:
         if fingerprint != self._fingerprint:
             raise ProtocolError("request fingerprint does not match responder config")
-        return sk.to_bytes(self._index.sketch(path))
+        z = self._sketches.get(path)
+        if z is None:
+            z = self._sketches[path] = self._index.sketch(path)
+        return sk.to_bytes(z)
 
 
 class LoopbackTransport:
@@ -221,7 +227,9 @@ def make_loopback(set_b, config: ProtocolConfig, placement=None,
 
 class _Run:
     """The loopback run of an engine: real sketches, A's side subtracted from
-    each of B's replies, and the merge of every recovered piece."""
+    each of B's replies, and the merge of every recovered piece.  A recovery
+    offers `sk.recover` A's elements in the partition as the candidates for
+    the piece's A-only elements."""
 
     def __init__(self, set_a, transport, config: ProtocolConfig, placement):
         self.config = config
@@ -253,28 +261,27 @@ class _Run:
 
     def recover(self, path: tuple[int, ...], z: sk.SRSketch) -> bool:
         self.recoveries += 1
-        outcome = sk.recover(z)
-        if not (outcome.flag and self._placed(path, outcome)):
+        first, end = self.index.span(path)
+        outcome = sk.recover(z, self.index.elements_in(first, end))
+        if not (outcome.flag and self._placed(first, end, outcome)):
             return False
         self.a_only |= outcome.recovered_a
         self.b_only |= outcome.recovered_b
         return True
 
-    def _placed(self, path: tuple[int, ...], outcome: sk.RecoveryOutcome) -> bool:
-        """Whether a recovered piece can be the difference at `path`: its
-        A-only elements are A's, its B-only ones are not, none is merged
-        already (pieces come from disjoint partitions or residuals), and
-        every key lies in the partition.  A success that fails it counts as
-        a failed recovery, so the engine splits further."""
+    def _placed(self, first: int, end: int, outcome: sk.RecoveryOutcome) -> bool:
+        """Whether a recovered piece can be the difference at the partition
+        of keys [first, end): its A-only elements are A's, its B-only ones
+        are not, none is merged already (pieces come from disjoint
+        partitions or residuals), and every key lies in the partition.  A
+        success that fails it counts as a failed recovery, so the engine
+        splits further."""
         members, got_a, got_b = self.index.members, outcome.recovered_a, outcome.recovered_b
         if not (got_a <= members and members.isdisjoint(got_b)
                 and self.a_only.isdisjoint(got_a) and self.b_only.isdisjoint(got_b)):
             return False
-        keys = list(map(self.index.key, got_a | got_b))
-        if not keys:
-            return True
-        first, end = key_range(self.config.schedule, path)
-        return all(k is not None and first <= k < end for k in keys)
+        return all(k is not None and first <= k < end
+                   for k in map(self.index.key, got_a | got_b))
 
     def drive(self, engine) -> tuple[ReconcileResult, ReconcileMetrics]:
         engine(self, self.config.schedule.c)

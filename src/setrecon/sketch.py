@@ -181,7 +181,7 @@ def _rational(points, values, m_a: int, q: int):
     return fm.poly_mul_scalar(r, inv, q), fm.poly_mul_scalar(t, inv, q)
 
 
-def recover(sk: SRSketch) -> RecoveryOutcome:
+def recover(sk: SRSketch, candidates=None) -> RecoveryOutcome:
     """Attempt to recover the represented one-sided differences.
 
     Rational function reconstruction: the extended Euclidean algorithm
@@ -191,9 +191,19 @@ def recover(sk: SRSketch) -> RecoveryOutcome:
     two pure-set sketches whose symmetric difference has at most mbar
     elements.  Larger differences fail, up to the false-success
     probability controlled by gamma.  All failure paths fold into
-    flag=False.  The randomized root splitting draws from a generator
-    seeded from the sketch content, so the outcome is a pure function of
-    the sketch.
+    flag=False.
+
+    `candidates` are distinct elements among which every A-only element
+    must lie, such as A's members in the partition.  When there are at
+    most element_bits * deg P of them, P is evaluated at each and recovery
+    fails unless exactly deg P of them are roots; P is monic, so it is then
+    their product, and the outcome is the one factoring P and keeping only
+    candidate roots would give.  The rule weighs |candidates| * deg P
+    evaluation steps against the about element_bits * deg P^2 field
+    operations of factoring.  Otherwise, and always for Q, roots are found
+    by Cantor-Zassenhaus factoring, whose randomized splitting draws from a
+    generator seeded from the sketch content, so the outcome is a pure
+    function of the sketch and the candidates.
     """
     cfg = sk.config
     q = cfg.modulus
@@ -213,9 +223,15 @@ def recover(sk: SRSketch) -> RecoveryOutcome:
         if fm.poly_eval(p, z, q) != v * fm.poly_eval(qq, z, q) % q:
             return _FAILED
     rng = random.Random(int.from_bytes(_content_digest(sk), "little"))
-    roots_a = fm.find_distinct_roots(p, q, rng)
-    if roots_a is None:
-        return _FAILED
+    deg_p = len(p) - 1
+    if candidates is not None and len(candidates) <= cfg.element_bits * deg_p:
+        roots_a = [x for x in candidates if fm.poly_eval(p, x, q) == 0]
+        if len(roots_a) != deg_p:
+            return _FAILED
+    else:
+        roots_a = fm.find_distinct_roots(p, q, rng)
+        if roots_a is None:
+            return _FAILED
     roots_b = fm.find_distinct_roots(qq, q, rng)
     if roots_b is None:
         return _FAILED

@@ -120,8 +120,7 @@ class RecordingTransport(proto.LoopbackTransport):
 
 def _members(index, path):
     """The elements in the index's slice for path."""
-    lo, hi = index._slice(path)
-    return index._elements[lo:hi]
+    return index.elements_in(*index.span(path))
 
 
 @pytest.mark.parametrize("sched, depth", [(fair_probs(2), 3), (round_optimal_probs(4), 2)],
@@ -358,7 +357,8 @@ def test_random_instances_both_engines():
 def test_epsr_engine_matches_recursive_reference(schedule, c, monkeypatch):
     recovered = []
     real_recover = sk.recover
-    monkeypatch.setattr(sk, "recover", lambda z: recovered.append(z) or real_recover(z))
+    monkeypatch.setattr(sk, "recover",
+                        lambda z, *rest: recovered.append(z) or real_recover(z, *rest))
     for seed in range(3):
         set_a, set_b, a_only, b_only = _instance(100 * c + seed, delta=50, shared_count=20)
         cfg = proto.ProtocolConfig(3, 1, 32, schedule(c), hash_seed=seed, protocol="epsr")

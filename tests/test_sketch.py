@@ -278,6 +278,41 @@ def test_recover_matches_reference():
     assert not sk.recover(z).flag
 
 
+@pytest.mark.parametrize("bits", [64, 256])
+def test_recover_with_candidates_matches_recover(bits, monkeypatch):
+    # candidates holding every root of P plus non-roots give recover(z)'s
+    # outcome on both sides of the cost rule (at most bits * deg P of them
+    # are evaluated, more are left to factoring), at deg P 0 to 5 and past
+    # capacity; leaving out one A-only element makes the evaluation fail
+    real_roots = fm.find_distinct_roots
+    factored = []
+    monkeypatch.setattr(fm, "find_distinct_roots",
+                        lambda f, q, rng: factored.append(len(f) - 1) or real_roots(f, q, rng))
+    cfg = sk.field_setup(bits, 8, 1)
+    rng = random.Random(bits)
+    for d_a, d_b in ((0, 0), (0, 2), (1, 0), (1, 3), (2, 0), (2, 2), (3, 1), (5, 3), (5, 5)):
+        budget = bits * d_a
+        pool = set()
+        while len(pool) < d_a + d_b + budget + 1:
+            pool.add(rng.getrandbits(bits))
+        pool = list(pool)
+        a_only, b_only, others = pool[:d_a], pool[d_a:d_a + d_b], pool[d_a + d_b:]
+        z = sk.subtract(sk.sketch_of(cfg, a_only), sk.sketch_of(cfg, b_only))
+        want = sk.recover(z)
+        if d_a + d_b <= cfg.mbar:
+            assert want == sk.RecoveryOutcome(True, frozenset(a_only), frozenset(b_only))
+        for n, evaluated in ((budget, True), (budget + 1, False)):
+            candidates = a_only + others[:n - d_a]
+            rng.shuffle(candidates)
+            factored.clear()
+            assert sk.recover(z, candidates) == want, (d_a, d_b, n)
+            if want.flag:
+                assert factored == ([d_b] if evaluated else [d_a, d_b])
+        if want.flag and d_a:
+            candidates = a_only[1:] + others[:budget - d_a]
+            assert not sk.recover(z, candidates).flag
+
+
 def test_roundtrip_without_verification_points():
     # gamma=0 leaves no spare evaluations; recovery still works for true
     # differences of either parity
