@@ -75,19 +75,6 @@ def poly_mul_scalar(a: list[int], s: int, q: int) -> list[int]:
     return [c * s % q for c in a]
 
 
-# Kronecker substitution pays off once the schoolbook product loop gets big.
-_KS_THRESHOLD = 256
-
-
-def _poly_mul_school(a: list[int], b: list[int], q: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return poly_trim([c % q for c in out])
-
-
 def _ks_width(q: int, n: int) -> int:
     # Bytes per packed slot: a product slot sums up to n products of two
     # coefficients in [0, q), so it must hold n*q^2.
@@ -104,20 +91,15 @@ def _ks_unpack(x: int, n: int, nbytes: int) -> list[int]:
     return [int.from_bytes(raw[i:i + nbytes], "little") for i in range(0, n * nbytes, nbytes)]
 
 
-def _poly_mul_ks(a: list[int], b: list[int], q: int) -> list[int]:
-    # Pack coefficients into one big int so the product is a single
-    # C-level multiplication.
-    nbytes = _ks_width(q, min(len(a), len(b)))
-    prod = _ks_pack(a, nbytes) * _ks_pack(b, nbytes)
-    return poly_trim([c % q for c in _ks_unpack(prod, len(a) + len(b) - 1, nbytes)])
-
-
 def poly_mul(a: list[int], b: list[int], q: int) -> list[int]:
     if not a or not b:
         return []
-    if len(a) * len(b) >= _KS_THRESHOLD:
-        return _poly_mul_ks(a, b, q)
-    return _poly_mul_school(a, b, q)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return poly_trim([c % q for c in out])
 
 
 def poly_divmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:

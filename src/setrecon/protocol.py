@@ -111,8 +111,7 @@ class PartitionIndex:
     def __init__(self, elements, config: ProtocolConfig, placement=None):
         self._schedule, self._field = config.schedule, config.field_config
         elements = list(elements)
-        self.members = set(elements)
-        if len(self.members) != len(elements):
+        if len(set(elements)) != len(elements):
             raise sk.ElementError("duplicate elements: sketches represent sets")
         seed = config.hash_seed
         self.key = placement.get if placement is not None else lambda e: key_of(e, seed)
@@ -227,9 +226,7 @@ def make_loopback(set_b, config: ProtocolConfig, placement=None,
 
 class _Run:
     """The loopback run of an engine: real sketches, A's side subtracted from
-    each of B's replies, and the merge of every recovered piece.  A recovery
-    offers `sk.recover` A's elements in the partition as the candidates for
-    the piece's A-only elements."""
+    each of B's replies, and the merge of every recovered piece."""
 
     def __init__(self, set_a, transport, config: ProtocolConfig, placement):
         self.config = config
@@ -242,6 +239,9 @@ class _Run:
         self.tx = 0
         self.recoveries = 0
         self.max_tx_depth = 0
+        # path -> the last of its children requested so far; both engines
+        # request a split's children in order
+        self.sent: dict[tuple[int, ...], int] = {}
 
     def fetch(self, path: tuple[int, ...], after) -> sk.SRSketch:
         za = self.index.sketch(path)
@@ -254,34 +254,34 @@ class _Run:
             raise ProtocolError("reply sketch configuration mismatch")
         self.tx += 1
         self.max_tx_depth = max(self.max_tx_depth, len(path))
+        if path:
+            self.sent[path[:-1]] = path[-1]
         return sk.subtract(za, zb)
 
     def subtract(self, z: sk.SRSketch, z_child: sk.SRSketch) -> sk.SRSketch:
         return sk.subtract(z, z_child)
 
     def recover(self, path: tuple[int, ...], z: sk.SRSketch) -> bool:
+        """Whether `z` recovers to the difference at `path`.  Once some of
+        the path's children were requested, `z` is a residual and covers
+        only the keys of the children not requested yet.  `sk.recover`
+        checks the piece against A's elements in those keys, its
+        candidates; a success counts only if none of the piece is merged
+        already (pieces come from disjoint partitions or residuals) and
+        every B-only key lies in them.  Otherwise the engine splits
+        further."""
         self.recoveries += 1
         first, end = self.index.span(path)
+        if path in self.sent:
+            first = self.index.span(path + (self.sent[path],))[1]
         outcome = sk.recover(z, self.index.elements_in(first, end))
-        if not (outcome.flag and self._placed(first, end, outcome)):
+        got_a, got_b = outcome.recovered_a, outcome.recovered_b
+        if not (outcome.flag and self.a_only.isdisjoint(got_a) and self.b_only.isdisjoint(got_b)
+                and all(k is not None and first <= k < end for k in map(self.index.key, got_b))):
             return False
-        self.a_only |= outcome.recovered_a
-        self.b_only |= outcome.recovered_b
+        self.a_only |= got_a
+        self.b_only |= got_b
         return True
-
-    def _placed(self, first: int, end: int, outcome: sk.RecoveryOutcome) -> bool:
-        """Whether a recovered piece can be the difference at the partition
-        of keys [first, end): its A-only elements are A's, its B-only ones
-        are not, none is merged already (pieces come from disjoint
-        partitions or residuals), and every key lies in the partition.  A
-        success that fails it counts as a failed recovery, so the engine
-        splits further."""
-        members, got_a, got_b = self.index.members, outcome.recovered_a, outcome.recovered_b
-        if not (got_a <= members and members.isdisjoint(got_b)
-                and self.a_only.isdisjoint(got_a) and self.b_only.isdisjoint(got_b)):
-            return False
-        return all(k is not None and first <= k < end
-                   for k in map(self.index.key, got_a | got_b))
 
     def drive(self, engine) -> tuple[ReconcileResult, ReconcileMetrics]:
         engine(self, self.config.schedule.c)

@@ -193,17 +193,18 @@ def recover(sk: SRSketch, candidates=None) -> RecoveryOutcome:
     probability controlled by gamma.  All failure paths fold into
     flag=False.
 
-    `candidates` are distinct elements among which every A-only element
-    must lie, such as A's members in the partition.  When there are at
-    most element_bits * deg P of them, P is evaluated at each and recovery
-    fails unless exactly deg P of them are roots; P is monic, so it is then
-    their product, and the outcome is the one factoring P and keeping only
-    candidate roots would give.  The rule weighs |candidates| * deg P
+    `candidates`, if given, are A's (distinct) elements in the partition,
+    so a success needs every root of P among them and no root of Q among
+    them; this is checked however the roots were found.  When there are at
+    most element_bits * deg P candidates, P is evaluated at each and
+    recovery fails unless exactly deg P of them are roots; P is monic, so
+    it is then their product.  The rule weighs |candidates| * deg P
     evaluation steps against the about element_bits * deg P^2 field
     operations of factoring.  Otherwise, and always for Q, roots are found
     by Cantor-Zassenhaus factoring, whose randomized splitting draws from a
     generator seeded from the sketch content, so the outcome is a pure
-    function of the sketch and the candidates.
+    function of the sketch and the candidates.  The checks that need the
+    placement, or what a run has merged already, are the caller's.
     """
     cfg = sk.config
     q = cfg.modulus
@@ -240,6 +241,10 @@ def recover(sk: SRSketch, candidates=None) -> RecoveryOutcome:
     limit = cfg.universe_size
     if any(r >= limit for r in roots_a) or any(r >= limit for r in roots_b):
         return _FAILED
+    if candidates is not None:
+        members = set(candidates)
+        if not (members.issuperset(roots_a) and members.isdisjoint(roots_b)):
+            return _FAILED
     return RecoveryOutcome(True, frozenset(roots_a), frozenset(roots_b))
 
 
@@ -268,8 +273,10 @@ def from_bytes(data: bytes) -> SRSketch:
     for i in range(cfg.n_points):
         off = _HEADER.size + i * vb
         v = int.from_bytes(data[off:off + vb], "little")
-        if v >= cfg.modulus:
-            raise ValueError("sketch value outside the field")
+        # No honest sketch holds 0: evaluation points lie outside the
+        # universe, so every value is a product or ratio of nonzero ones.
+        if not 0 < v < cfg.modulus:
+            raise ValueError("sketch value zero or outside the field")
         vals.append(v)
     return SRSketch(cfg, tuple(vals), count)
 

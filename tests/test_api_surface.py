@@ -2,12 +2,13 @@
 
 Three kinds of name are checked: the functions and classes that
 `setrecon/__init__.py` exports, the public methods and properties of the
-exported classes, and the private module-level functions of every module.
-A name counts as used when some module under src/setrecon/ other than
-__init__.py refers to it (as a bare name or as an attribute).  A definition
-referring to itself (recursion, a class naming itself, `self.name` inside
-the method `name`) does not count.  A name that only the tests call is
-test-only API: delete it, or move it into the tests as a reference.
+exported classes, and the module-level functions and constants of every
+module.  A name counts as used when some module under src/setrecon/ other
+than __init__.py reads it (as a bare name or as an attribute).  Assigning
+it, or a definition referring to itself (recursion, a class naming itself,
+`self.name` inside the method `name`), does not count.  A name that only
+the tests call is test-only API: delete it, or move it into the tests as a
+reference.
 """
 
 import ast
@@ -48,12 +49,17 @@ def _public_members() -> list[str]:
     )
 
 
-def _private_functions() -> list[str]:
-    return sorted(
-        node.name for module in _modules() for node in module.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name.startswith("_") and not node.name.startswith("__")
-    )
+def _module_level_names() -> list[str]:
+    """Functions defined, and names assigned, at the top of each module."""
+    names = []
+    for module in _modules():
+        for node in module.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return sorted(name for name in names if not name.startswith("__"))
 
 
 def _self_reference(node: ast.AST, name: str) -> bool:
@@ -69,7 +75,7 @@ def _used_names() -> set[str]:
         stack: list[tuple[ast.AST, frozenset[str]]] = [(module, frozenset())]
         while stack:
             node, enclosing = stack.pop()
-            if isinstance(node, (ast.Name, ast.Attribute)):
+            if isinstance(node, (ast.Name, ast.Attribute)) and not isinstance(node.ctx, ast.Store):
                 name = node.id if isinstance(node, ast.Name) else node.attr
                 if name not in enclosing or not _self_reference(node, name):
                     used.add(name)
@@ -97,9 +103,11 @@ def test_every_public_member_has_a_caller_in_the_package():
     assert unused == [], f"public members used only outside the package: {unused}"
 
 
-def test_every_private_function_has_a_caller_in_the_package():
-    private = _private_functions()
-    assert "_content_digest" in private  # the scan found private helpers
+def test_every_module_level_name_has_a_caller_in_the_package():
+    names = _module_level_names()
+    assert "_content_digest" in names  # the scan found private helpers,
+    assert "key_range" in names  # public functions
+    assert "_COUNT_MAX" in names and "ENGINES" in names  # and constants
     used = _used_names()
-    unused = [name for name in private if name not in used]
-    assert unused == [], f"private functions with no caller: {unused}"
+    unused = [name for name in names if name not in used]
+    assert unused == [], f"module-level names with no caller: {unused}"

@@ -118,15 +118,6 @@ def _rand_poly(rng, deg, q):
     return p
 
 
-def test_poly_mul_kronecker_matches_schoolbook():
-    rng = random.Random(0)
-    for q in (23, 65537, fm.next_prime(1 << 64)):
-        for _ in range(20):
-            a = _rand_poly(rng, rng.randrange(1, 30), q)
-            b = _rand_poly(rng, rng.randrange(1, 30), q)
-            assert fm._poly_mul_ks(a, b, q) == fm._poly_mul_school(a, b, q)
-
-
 def test_poly_divmod_roundtrip():
     rng = random.Random(1)
     q = 10007

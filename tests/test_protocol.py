@@ -245,13 +245,14 @@ def _malformed(cfg, case):
         return bytes(blob[:5])
     if case == "long":
         return bytes(blob + b"\0")
-    blob[-field.value_bytes:] = field.modulus.to_bytes(field.value_bytes, "little")
+    value = field.modulus if case == "value" else 0
+    blob[-field.value_bytes:] = value.to_bytes(field.value_bytes, "little")
     return bytes(blob)
 
 
 @pytest.mark.parametrize("case, match", [("short", "too short"), ("long", "length"),
-                                         ("value", "outside the field")],
-                         ids=["short", "long", "value"])
+                                         ("value", "outside the field"), ("zero", "zero")],
+                         ids=["short", "long", "value", "zero"])
 @pytest.mark.parametrize("engine", [proto.psr_reconcile, proto.epsr_reconcile],
                          ids=["psr", "epsr"])
 def test_malformed_reply_rejected(engine, case, match):
@@ -415,6 +416,57 @@ def test_never_silently_wrong_on_small_universe(engine):
     assert wrong == []
 
 
+# Schedules: fair and round-optimal for c 2..6, and two-way splits with
+# both probabilities at least 1/10.  Extreme skew is left out for the
+# test's runtime, not its results: at (0.999, 0.001), mbar 1, eleven
+# 6-bit elements took 1.3-17 s per run on a 2-vCPU VM, with correct
+# results, because such trees are 1300-2800 levels deep and `key_range`
+# costs O(depth) per call.
+PROPERTY_SCHEDULES = st.one_of(
+    st.builds(fair_probs, st.integers(2, 6)),
+    st.builds(round_optimal_probs, st.integers(2, 6)),
+    st.fractions(Fraction(1, 10), Fraction(9, 10), max_denominator=100).map(
+        lambda p: schedule_from_strings([p, 1 - p])),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(schedule=PROPERTY_SCHEDULES, mbar=st.integers(1, 4), gamma=st.integers(0, 2),
+       bits=st.integers(3, 8), seed=st.integers(0, 2**16), data=st.data())
+def test_reconcile_exact_or_typed_error(schedule, mbar, gamma, bits, seed, data):
+    # every run returns the exact difference or raises ProtocolError, over
+    # empty and identical sets and the boundary elements 0 and 2^bits - 1,
+    # unless no protocol could tell: gamma 0 on a tiny field lets a false
+    # success through whose result is exact against another set B' that
+    # sends A byte-identical replies (at 4 bits, mbar 2, A-only {1, 3, 15}
+    # and B-only {6, 7, 11} next to the shared {2, 4, 5, 8}, the root
+    # recovers A-only {2} and B-only {10}, which is B' = A - {2} + {10})
+    top = (1 << bits) - 1
+    n = data.draw(st.integers(0, min(48, top + 1)))
+    pool = set(data.draw(st.permutations(range(top + 1)))[:n])
+    pool |= data.draw(st.sets(st.sampled_from([0, top])))
+    pool = sorted(pool)
+    sides = data.draw(st.lists(st.sampled_from("sab"), min_size=len(pool), max_size=len(pool)))
+    a_only = {e for e, side in zip(pool, sides) if side == "a"}
+    b_only = {e for e, side in zip(pool, sides) if side == "b"}
+    shared = set(pool) - a_only - b_only
+    set_a = a_only | shared
+    cfg = proto.ProtocolConfig(mbar, gamma, bits, schedule, hash_seed=seed)
+
+    def run(engine, set_b):
+        transport = RecordingTransport(proto.Responder(set_b, cfg))
+        return engine(set_a, transport, cfg)[0], transport.blobs
+
+    for engine in (proto.psr_reconcile, proto.epsr_reconcile):
+        try:
+            res, blobs = run(engine, b_only | shared)
+        except proto.ProtocolError:
+            continue
+        if (res.a_only, res.b_only) != (a_only, b_only):
+            assert res.a_only <= set_a and res.b_only.isdisjoint(set_a), engine.__name__
+            assert run(engine, (set_a - res.a_only) | res.b_only)[1] == blobs, engine.__name__
+
+
 def test_recover_checks_membership_and_placement():
     # a recovered piece counts only if it can be the difference at its path
     cfg = proto.ProtocolConfig(3, 1, 32, fair_probs(2))
@@ -434,6 +486,25 @@ def test_recover_checks_membership_and_placement():
     assert run.recover((1,), diff([2], [3]))
     assert run.a_only == {2} and run.b_only == {3}
     assert not run.recover((1,), diff([], [3]))  # B-only element merged already
+    assert run.a_only == {2} and run.b_only == {3}
+
+
+def test_residual_recovery_covers_unsent_children():
+    # once child (0,) is requested, a recovery at the root is of the
+    # residual, which holds only the keys of child (1,)
+    cfg = proto.ProtocolConfig(3, 1, 32, fair_probs(2))
+    placement = {1: 0, 2: KEY_SPACE // 2, 3: KEY_SPACE // 2, 4: 1}  # 1, 4 in (0,)
+    run = proto._Run([1, 2], proto.make_loopback([2, 3, 4], cfg, placement), cfg, placement)
+    run.fetch((0,), None)
+
+    def diff(a_only, b_only):
+        field = cfg.field_config
+        return sk.subtract(sk.sketch_of(field, a_only), sk.sketch_of(field, b_only))
+
+    assert not run.recover((), diff([1], []))  # A's element of the requested child
+    assert not run.recover((), diff([], [4]))  # B-only key in the requested child
+    assert run.a_only == run.b_only == set()
+    assert run.recover((), diff([2], [3]))
     assert run.a_only == {2} and run.b_only == {3}
 
 

@@ -283,7 +283,8 @@ def test_recover_with_candidates_matches_recover(bits, monkeypatch):
     # candidates holding every root of P plus non-roots give recover(z)'s
     # outcome on both sides of the cost rule (at most bits * deg P of them
     # are evaluated, more are left to factoring), at deg P 0 to 5 and past
-    # capacity; leaving out one A-only element makes the evaluation fail
+    # capacity; leaving out one A-only element, or adding one B-only
+    # element, fails on both sides
     real_roots = fm.find_distinct_roots
     factored = []
     monkeypatch.setattr(fm, "find_distinct_roots",
@@ -308,9 +309,12 @@ def test_recover_with_candidates_matches_recover(bits, monkeypatch):
             assert sk.recover(z, candidates) == want, (d_a, d_b, n)
             if want.flag:
                 assert factored == ([d_b] if evaluated else [d_a, d_b])
-        if want.flag and d_a:
-            candidates = a_only[1:] + others[:budget - d_a]
-            assert not sk.recover(z, candidates).flag
+            if want.flag and d_a:
+                candidates = a_only[1:] + others[:n - d_a + 1]
+                assert not sk.recover(z, candidates).flag, ("A-only left out", d_a, d_b, n)
+            if want.flag and d_b and n > d_a:
+                candidates = a_only + b_only[:1] + others[:n - d_a - 1]
+                assert not sk.recover(z, candidates).flag, ("B-only added", d_a, d_b, n)
 
 
 def test_roundtrip_without_verification_points():
