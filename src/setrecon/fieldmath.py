@@ -9,8 +9,8 @@ wrapper objects are used; every function takes the modulus q explicitly.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import chain
-from operator import mul
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
@@ -73,22 +73,6 @@ def poly_mul_scalar(a: list[int], s: int, q: int) -> list[int]:
     if s == 0:
         return []
     return [c * s % q for c in a]
-
-
-def _ks_width(q: int, n: int) -> int:
-    # Bytes per packed slot: a product slot sums up to n products of two
-    # coefficients in [0, q), so it must hold n*q^2.
-    return (2 * q.bit_length() + n.bit_length() + 8) // 8
-
-
-def _ks_pack(a: list[int], nbytes: int) -> int:
-    return int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in a), "little")
-
-
-def _ks_unpack(x: int, n: int, nbytes: int) -> list[int]:
-    # The first n slots of x, not reduced mod q.
-    raw = x.to_bytes(n * nbytes, "little")
-    return [int.from_bytes(raw[i:i + nbytes], "little") for i in range(0, n * nbytes, nbytes)]
 
 
 def poly_mul(a: list[int], b: list[int], q: int) -> list[int]:
@@ -154,11 +138,14 @@ def poly_pow_mod(base: list[int], e: int, mod: list[int], q: int) -> list[int]:
     """base^e reduced modulo the polynomial `mod` (e >= 0; base^0 is [1]).
 
     Left-to-right square-and-multiply modulo the monic associate f of
-    `mod`, of degree d.  Each square is one Kronecker-packed product.  A
-    table of Z^k mod f for k = d .. 2d-2, built once per call, is kept
-    packed, so reducing a product is one linear combination of packed rows
-    weighted by its high coefficients.  Multiplying by a linear base is an
-    O(d) update.
+    `mod`, of degree d.  The residue stays Kronecker-packed, its d
+    coefficients in w-bit slots of one integer, so each square is one
+    integer product.  A table of Z^k mod f for k = d .. 2d-2, built once
+    per call and packed too, makes reducing a product one linear
+    combination of table rows weighted by its high coefficients.
+    Multiplying by a linear base is an O(d) update of the packed residue.
+    Slots are read with shifts and masks and brought back into [0, q)
+    once per step.
     """
     if e < 0:
         raise ValueError("negative exponent")
@@ -169,37 +156,61 @@ def poly_pow_mod(base: list[int], e: int, mod: list[int], q: int) -> list[int]:
         return []
     f = poly_monic(mod, q)
     d = len(f) - 1
-    # rows[i] = Z^(d+i) mod f.  A packed slot must hold (2d-1)*q^2: a slot
-    # of a product plus a combination of d-1 table rows.
+    # rows[i] = Z^(d+i) mod f.  A slot must hold (2d-1)*q^2: a slot of a
+    # product plus a combination of d-1 table rows.
     rows = [[(-c) % q for c in f[:d]]]
     for _ in range(d - 2):
         top = rows[-1][-1]
         rows.append([(lo + top * c) % q for lo, c in zip([0] + rows[-1][:-1], rows[0])])
-    nbytes = _ks_width(q, 2 * d)
-    packed_rows = [_ks_pack(row, nbytes) for row in rows[:d - 1]]  # none if d == 1
-    low_bits = 8 * nbytes * d
+    w = 2 * q.bit_length() + (2 * d).bit_length()
+    mask = (1 << w) - 1
+    last = w * (d - 1)  # offset of the last of the d slots
+    low = w * d
 
-    def reduce(x: int) -> list[int]:
-        # x packs a product of degree <= 2d-2; slot d+i folds back as
-        # (its value mod q) * rows[i].
-        high = [c % q for c in _ks_unpack(x >> low_bits, d - 1, nbytes)]
-        x = (x & ((1 << low_bits) - 1)) + sum(map(mul, high, packed_rows))
-        return [c % q for c in _ks_unpack(x, d, nbytes)]
+    def pack(a: list[int]) -> int:
+        return sum(c << (w * i) for i, c in enumerate(a))
 
-    r = acc + [0] * (d - len(acc))
-    packed_acc = _ks_pack(r, nbytes)
+    packed_rows = [pack(row) for row in rows]
+    folds = list(zip(range(low, low + last, w), packed_rows))
+
+    def reduce(x: int) -> int:
+        # x packs a polynomial of degree <= 2d-2; slot d+i folds back as
+        # (its value mod q) * rows[i], then each of the d slots is taken
+        # mod q.
+        y = x & ((1 << low) - 1)
+        for shift, row in folds:
+            y += ((x >> shift) & mask) % q * row
+        r = 0
+        for shift in range(last, -1, -w):
+            r = (r << w) | ((y >> shift) & mask) % q
+        return r
+
+    r = packed_acc = pack(acc)
     for bit in bin(e)[3:]:
-        x = _ks_pack(r, nbytes)
-        r = reduce(x * x)
+        r = reduce(r * r)
         if bit == "0":
             continue
         if len(acc) == 2:
+            # (a + bZ) * r: Z*r is r one slot up, its top slot folded back
+            # as a multiple of rows[0].
             a, b = acc
-            top = b * r[-1]
-            r = [(a * lo + b * hi + top * c) % q for lo, hi, c in zip(r, [0] + r[:-1], rows[0])]
+            r = reduce(a * r + ((b * (r & ((1 << last) - 1))) << w)
+                       + b * (r >> last) % q * packed_rows[0])
         else:
-            r = reduce(_ks_pack(r, nbytes) * packed_acc)
-    return poly_trim(r)
+            r = reduce(r * packed_acc)
+    return poly_trim([(r >> shift) & mask for shift in range(0, low, w)])
+
+
+@lru_cache(maxsize=None)
+def _two_power_roots(q: int) -> tuple[int, int]:
+    """(v, w) for an odd prime q: 2^v is the largest power of two dividing
+    q - 1, and w = z^((q-1)/2^v) for the least non-residue z is a primitive
+    2^v-th root of unity."""
+    v = ((q - 1) & (1 - q)).bit_length() - 1
+    z = 2
+    while pow(z, (q - 1) // 2, q) != q - 1:
+        z += 1
+    return v, pow(z, (q - 1) >> v, q)
 
 
 def sqrt_mod(a: int, q: int) -> int | None:
@@ -211,16 +222,10 @@ def sqrt_mod(a: int, q: int) -> int | None:
         return None
     if q % 4 == 3:
         return pow(a, (q + 1) // 4, q)
-    # Tonelli-Shanks
-    s = 0
-    d = q - 1
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    z = 2
-    while pow(z, (q - 1) // 2, q) != q - 1:
-        z += 1
-    m, c, t, r = s, pow(z, d, q), pow(a, d, q), pow(a, (d + 1) // 2, q)
+    # Tonelli-Shanks, with c a primitive 2^m-th root of unity
+    m, c = _two_power_roots(q)
+    d = (q - 1) >> m
+    t, r = pow(a, d, q), pow(a, (d + 1) // 2, q)
     while t != 1:
         t2 = t
         i = 0
@@ -250,14 +255,26 @@ def _quadratic_roots(f: list[int], q: int) -> list[int] | None:
     return [(-b + s) * inv2 % q, (-b - s) * inv2 % q]
 
 
+def _unit_roots(q: int, deg: int) -> list[int]:
+    # The 2^s-th roots of unity, 1 first, for splitting a polynomial of
+    # degree deg >= 3 over F_q, q odd; find_distinct_roots says why s is
+    # capped by the degree.
+    v, w = _two_power_roots(q)
+    s = min(v, (deg - 1).bit_length())
+    zeta = pow(w, 1 << (v - s), q)
+    return [pow(zeta, k, q) for k in range(1 << s)]
+
+
 def _split_linear(
     f: list[int], q: int, rng: random.Random, first: tuple[list[int], ...] = ()
 ) -> list[int] | None:
     # f is monic; from degree 3 on it is known to be a product of distinct
-    # linear factors (degree 2 is solved directly, or None).  A candidate
-    # w = (Z + a)^((q-1)/2) mod f splits off the roots r with r + a a
-    # nonzero square, as gcd(w - 1, f).  The candidates in `first` are
-    # tried before up to 64 shifts a drawn from rng.
+    # linear factors Z - r with r != 0 (degree 2 is solved directly, or
+    # None).  For u = (Z + a)^((q-1)/2^s) mod f, u(r) is a 2^s-th root of
+    # unity zeta, or 0 for r = -a; gcd(u - zeta, f) takes out the class of
+    # zeta, and what is left after every zeta is the class of 0.  The
+    # candidates u in `first` are tried before up to 64 shifts a drawn
+    # from rng.
     deg = len(f) - 1
     if deg == 0:
         return []
@@ -265,16 +282,28 @@ def _split_linear(
         return [(-f[0]) % q]
     if deg == 2:
         return _quadratic_roots(f, q)
-    half = (q - 1) // 2
-    drawn = (poly_pow_mod([rng.randrange(q), 1], half, f, q) for _ in range(64))
-    for w in chain(first, drawn):
-        g = poly_gcd(poly_sub(w, [1], q), f, q)
-        if 0 < len(g) - 1 < deg:
-            left = _split_linear(g, q, rng)
-            right = _split_linear(poly_divmod(f, g, q)[0], q, rng)
-            if left is None or right is None:
-                return None
-            return left + right
+    zetas = _unit_roots(q, deg)
+    e = (q - 1) // len(zetas)
+    drawn = (poly_pow_mod([rng.randrange(q), 1], e, f, q) for _ in range(64))
+    for u in chain(first, drawn):
+        parts, rest = [], f
+        for zeta in zetas:
+            g = poly_gcd(poly_sub(u, [zeta], q), rest, q)
+            if len(g) > 1:
+                parts.append(g)
+                rest = poly_divmod(rest, g, q)[0]
+                if len(rest) == 1:
+                    break
+        if len(rest) > 1:
+            parts.append(rest)
+        if len(parts) > 1:
+            roots = []
+            for g in parts:
+                got = _split_linear(g, q, rng)
+                if got is None:
+                    return None
+                roots += got
+            return roots
     return None
 
 
@@ -282,22 +311,39 @@ def find_distinct_roots(f: list[int], q: int, rng: random.Random) -> list[int] |
     """All roots of f if it splits into distinct linear factors over F_q.
 
     Returns None when it does not (repeated roots, irreducible factors, or
-    the zero polynomial).  For degree >= 3 one exponentiation,
-    w = Z^((q-1)/2) mod f, serves twice: Z*w^2 = Z^q ≡ Z (mod f) is the
-    completeness test, and gcd(w - 1, f) is a first split with shift 0.
-    Further splits use shifts drawn from rng.
+    the zero polynomial).  A root at 0 is taken off first.  For the rest,
+    of degree d >= 3, one exponentiation u = Z^((q-1)/2^s) mod f serves
+    twice: u^(2^s) = Z^(q-1) ≡ 1 (mod f), by s squarings, is the
+    completeness test, and the gcds of f with u - zeta, over the 2^s-th
+    roots of unity zeta, sort the roots 2^s ways by r^((q-1)/2^s).
+    Further splits use shifts Z + a, with a drawn from rng.  2^s is the
+    2-power part of q - 1, but not above the least power of two >= d: each
+    class costs one gcd, and past that point there are more classes than
+    roots, so further classes add gcds faster than they separate roots.
     """
     if not f:
         return None
     f = poly_monic(f, q)
+    zero = []
+    if f[0] == 0:
+        f = f[1:]
+        if f[0] == 0:
+            return None
+        zero = [0]
     deg = len(f) - 1
     if deg < 3:
-        return _split_linear(f, q, rng)
-    # Z^q ≡ Z (mod f) iff f is squarefree and fully split, which needs
-    # deg f <= q.  That bound also keeps q = 2, where Z*w^2 = Z, out.
-    if deg > q:
-        return None
-    w = poly_pow_mod([0, 1], (q - 1) // 2, f, q)
-    if poly_mod(poly_mul([0, 1], poly_mul(w, w, q), q), f, q) != [0, 1]:
-        return None
-    return _split_linear(f, q, rng, (w,))
+        rest = _split_linear(f, q, rng)
+    else:
+        # Z^(q-1) ≡ 1 (mod f) iff f is squarefree and splits with nonzero
+        # roots, which needs deg f < q.  That bound also keeps q = 2 out.
+        if deg >= q:
+            return None
+        zetas = _unit_roots(q, deg)
+        u = poly_pow_mod([0, 1], (q - 1) // len(zetas), f, q)
+        w = u
+        for _ in range(len(zetas).bit_length() - 1):
+            w = poly_mod(poly_mul(w, w, q), f, q)
+        if w != [1]:
+            return None
+        rest = _split_linear(f, q, rng, (u,))
+    return None if rest is None else zero + rest

@@ -201,10 +201,12 @@ def recover(sk: SRSketch, candidates=None) -> RecoveryOutcome:
     it is then their product.  The rule weighs |candidates| * deg P
     evaluation steps against the about element_bits * deg P^2 field
     operations of factoring.  Otherwise, and always for Q, roots are found
-    by Cantor-Zassenhaus factoring, whose randomized splitting draws from a
-    generator seeded from the sketch content, so the outcome is a pure
-    function of the sketch and the candidates.  The checks that need the
-    placement, or what a run has merged already, are the caller's.
+    by `fm.find_distinct_roots`, which splits them 2^s ways per
+    exponentiation with the 2-power roots of unity of F_q; its shifts are
+    drawn from a generator seeded from the sketch content, and the root
+    set does not depend on them, so the outcome is a pure function of the
+    sketch and the candidates.  The checks that need the placement, or
+    what a run has merged already, are the caller's.
     """
     cfg = sk.config
     q = cfg.modulus

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -78,8 +79,10 @@ def reference_find_distinct_roots(f, q, rng):
     return _reference_split_linear(f, q, rng)
 
 
-# Small primes, 1009, and the sketch moduli at 16, 64 and 256 bits.
-MODULI = (2, 3, 5, 7, 13, 1009) + tuple(
+# Small primes, 1009, 257 and 65537 (q - 1 = 2^8 and 2^16, so the degree
+# caps the splitter's 2^s classes), and the sketch moduli at 16, 64 and
+# 256 bits.
+MODULI = (2, 3, 5, 7, 13, 1009, 257, 65537) + tuple(
     sk.field_setup(bits, mbar, gamma).modulus
     for bits, mbar, gamma in ((16, 2, 1), (64, 25, 1), (256, 16, 1))
 )
@@ -316,9 +319,11 @@ def test_find_distinct_roots_small_fields_exhaustive(q, deg):
 
 
 def test_find_distinct_roots_one_full_degree_exponentiation(monkeypatch):
-    # Root 1 is a square and root 0 is not, so w = Z^((q-1)/2) both passes
-    # the completeness test and splits f: no other exponentiation has the
-    # full degree (the reference makes two, Z^q and its first split).
+    # The root 0 comes off first, leaving f/Z of degree 5, so 2^s = 8 (2^4
+    # divides q - 1 = 1008).  u = Z^((q-1)/8) puts 1, 7 and 11 in classes
+    # of their own and 3, 5 together, so u both passes the completeness
+    # test and splits f/Z: no other exponentiation has the full degree (the
+    # reference makes two, Z^q and its first split).
     q = 1009
     roots = [1, 3, 5, 7, 11, 0]
     f = poly_from_roots(roots, q)
@@ -326,7 +331,49 @@ def test_find_distinct_roots_one_full_degree_exponentiation(monkeypatch):
     real = fm.poly_pow_mod
     monkeypatch.setattr(fm, "poly_pow_mod", lambda *args: calls.append(args) or real(*args))
     assert sorted(fm.find_distinct_roots(f, q, random.Random(0))) == sorted(roots)
-    assert [c for c in calls if len(c[2]) == len(f)] == [([0, 1], (q - 1) // 2, f, q)]
+    assert [c for c in calls if len(c[2]) >= len(f) - 1] == [([0, 1], (q - 1) // 8, f[1:], q)]
+
+
+def test_find_distinct_roots_keeps_the_class_of_the_shift():
+    # Over F_7, r^3 = 1 for r in {1, 2, 4}, so u = Z^3 leaves the whole root
+    # set in one class at shift 0.  A drawn shift a = -r gives u(r) = 0: r
+    # is what is left after the gcds with u - 1 and u + 1, and it must not
+    # be lost.
+    q, roots = 7, [1, 2, 4]
+    f = poly_from_roots(roots, q)
+    assert fm.poly_pow_mod([0, 1], 3, f, q) == [1]
+    hit = set()
+    for seed in range(40):
+        assert sorted(fm.find_distinct_roots(f, q, random.Random(seed))) == roots
+        hit.add(-random.Random(seed).randrange(q) % q)
+    assert hit >= set(roots)
+
+
+def test_find_distinct_roots_fewer_exponentiations_than_reference(monkeypatch):
+    # Fixed seeds and split polynomials of degree 3-16 at the 64- and
+    # 256-bit sketch moduli: the splitter, completeness test included, makes
+    # fewer exponentiations than the reference's binary splits alone.
+    calls = Counter()
+
+    def counting(side, real):
+        def counted(*args):
+            calls[side] += 1
+            return real(*args)
+        return counted
+
+    monkeypatch.setattr(fm, "poly_pow_mod", counting("new", fm.poly_pow_mod))
+    monkeypatch.setitem(globals(), "reference_poly_pow_mod",
+                        counting("reference", reference_poly_pow_mod))
+    for bits, mbar in ((64, 25), (256, 16)):
+        q = sk.field_setup(bits, mbar, 1).modulus
+        for deg in range(3, 17):
+            for seed in range(2):
+                rng = random.Random(seed * 100 + deg)
+                f = poly_from_roots([rng.randrange(q) for _ in range(deg)], q)
+                got = fm.find_distinct_roots(f, q, random.Random(seed))
+                want = _reference_split_linear(f, q, random.Random(seed))
+                assert sorted(got) == sorted(want)
+    assert calls["new"] < calls["reference"], calls
 
 
 @pytest.mark.parametrize("bits,mbar,gamma,reps", [
