@@ -20,7 +20,6 @@ from .netsim import (
     PlacementNode,
     ScenarioConfig,
     load_scenario,
-    run_scenario,
     run_trial,
     sample_placement_tree,
 )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -277,8 +277,8 @@ def criterion_8_netsim_scenarios() -> tuple[bool, str]:
     presets = netsim.SCENARIO_PRESETS
 
     def mean_time(name: str, protocol: str, cores: int) -> float:
-        scenario = replace(presets[name], n_cores=cores, samples=100)
-        return netsim.run_scenario(protocol, delta, scenario, _NETSIM_SEED)
+        rows = netsim.sweep([delta], presets[name], [cores], (protocol,), _NETSIM_SEED, 100)
+        return rows[0][3]
 
     for name, lo, hi in (("I", 0.95, 1.05), ("II", 0.95, 1.05), ("III", 1.7, 2.1)):
         ratio = mean_time(name, "psr", 1) / mean_time(name, "epsr", 1)

@@ -42,8 +42,6 @@ def _lgamma_table(n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ExpectationTables:
-    mbar: int
-    schedule: PartitionSchedule
     n_bar: np.ndarray
     t_bar: np.ndarray
     u_bar: np.ndarray
@@ -93,7 +91,7 @@ def expectation_tables(delta_max: int, mbar: int,
         u_bar[d] = (s_u + (c - 1) - 2.0 * corr) / denom
     for arr in (n_bar, t_bar, u_bar):
         arr.flags.writeable = False
-    return ExpectationTables(mbar, schedule, n_bar, t_bar, u_bar)
+    return ExpectationTables(n_bar, t_bar, u_bar)
 
 
 def psr_recovery_bound(delta: float, mbar: int, c: int) -> float:

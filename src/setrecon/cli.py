@@ -26,7 +26,6 @@ from . import __version__, acceptance, netsim
 from .analysis import expectation_tables, mc_sample_batch, write_metrics_csv
 from .partition import (
     PartitionSchedule,
-    ScheduleError,
     fair_probs,
     schedule_from_strings,
 )
@@ -42,16 +41,15 @@ from .sketch import wire_cost
 _ANALYZE_CAP = 10_000
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A command-line argument the command cannot use.  `main` reports it,
+    like the package's own `ValueError`s for invalid parameters, with
+    exit 2."""
 
 
 def _schedule_from_args(args) -> PartitionSchedule:
     if args.probs:
-        try:
-            schedule = schedule_from_strings(args.probs.split(","))
-        except ScheduleError as exc:
-            raise UsageError(str(exc)) from None
+        schedule = schedule_from_strings(args.probs.split(","))
         if args.c is not None and schedule.c != args.c:
             raise UsageError(f"--c {args.c} does not match {schedule.c} probabilities")
         return schedule
@@ -157,6 +155,8 @@ def cmd_reconcile(args) -> int:
     else:
         protocol = args.protocol or "psr"
         schedule = _schedule_from_args(args)
+        if min(args.delta, args.shared) < 0:
+            raise UsageError("--delta and --shared must be nonnegative")
         if args.delta + args.shared > (1 << min(args.bits, 62)):
             raise UsageError("delta plus shared exceeds the universe capacity")
         a_only, b_only, shared = acceptance.random_instance(
@@ -200,13 +200,12 @@ def cmd_reconcile(args) -> int:
 def cmd_netsim(args) -> int:
     try:
         scenario = netsim.load_scenario(args.scenario)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         raise UsageError(f"cannot load scenario {args.scenario!r}: {exc}") from None
-    scenario = replace(scenario, samples=args.samples)
     deltas = _parse_int_list(args.delta)
-    cores = _parse_int_list(args.cores)
+    cores = _parse_int_list(args.cores) if args.cores else [scenario.n_cores]
     protocols = ("psr", "epsr") if args.protocol == "both" else (args.protocol,)
-    rows = netsim.sweep(deltas, scenario, cores, protocols, args.seed)
+    rows = netsim.sweep(deltas, scenario, cores, protocols, args.seed, args.samples)
     buf = io.StringIO()
     netsim.write_sweep_csv(buf, rows)
     params = {
@@ -292,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", default="I",
                    help="preset I/II/III or a key=value scenario file")
     p.add_argument("--delta", default="1000")
-    p.add_argument("--cores", default="1")
+    p.add_argument("--cores", default=None,
+                   help="comma-separated core counts (default: the scenario's n_cores)")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--protocol", choices=("psr", "epsr", "both"), default="both")
     p.add_argument("--seed", type=int, default=0)
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

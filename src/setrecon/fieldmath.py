@@ -142,10 +142,9 @@ def poly_pow_mod(base: list[int], e: int, mod: list[int], q: int) -> list[int]:
     coefficients in w-bit slots of one integer, so each square is one
     integer product.  A table of Z^k mod f for k = d .. 2d-2, built once
     per call and packed too, makes reducing a product one linear
-    combination of table rows weighted by its high coefficients.
-    Multiplying by a linear base is an O(d) update of the packed residue.
-    Slots are read with shifts and masks and brought back into [0, q)
-    once per step.
+    combination of table rows weighted by its high coefficients.  Slots
+    are read with shifts and masks and brought back into [0, q) once per
+    step.
     """
     if e < 0:
         raise ValueError("negative exponent")
@@ -170,8 +169,7 @@ def poly_pow_mod(base: list[int], e: int, mod: list[int], q: int) -> list[int]:
     def pack(a: list[int]) -> int:
         return sum(c << (w * i) for i, c in enumerate(a))
 
-    packed_rows = [pack(row) for row in rows]
-    folds = list(zip(range(low, low + last, w), packed_rows))
+    folds = list(zip(range(low, low + last, w), map(pack, rows)))
 
     def reduce(x: int) -> int:
         # x packs a polynomial of degree <= 2d-2; slot d+i folds back as
@@ -188,15 +186,7 @@ def poly_pow_mod(base: list[int], e: int, mod: list[int], q: int) -> list[int]:
     r = packed_acc = pack(acc)
     for bit in bin(e)[3:]:
         r = reduce(r * r)
-        if bit == "0":
-            continue
-        if len(acc) == 2:
-            # (a + bZ) * r: Z*r is r one slot up, its top slot folded back
-            # as a multiple of rows[0].
-            a, b = acc
-            r = reduce(a * r + ((b * (r & ((1 << last) - 1))) << w)
-                       + b * (r >> last) % q * packed_rows[0])
-        else:
+        if bit == "1":
             r = reduce(r * packed_acc)
     return poly_trim([(r >> shift) & mask for shift in range(0, low, w)])
 

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import heapq
 import math
+import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .partition import PartitionSchedule, fair_probs
-from .protocol import ENGINES
+from .protocol import ENGINES, ReconcileMetrics, RunCounters
 from .sketch import wire_cost
 
 _NS_PER_MS = 1_000_000
@@ -37,7 +38,6 @@ _NS_PER_MS = 1_000_000
 class ScenarioConfig:
     """Network and compute parameters of one simulated deployment."""
 
-    name: str
     latency_ms: float = 10.0
     throughput_bps: float = 1e8
     recovery_ms: float = 12.3
@@ -45,14 +45,16 @@ class ScenarioConfig:
     element_bits: int = 256
     mbar: int = 50
     gamma: int = 1
-    samples: int = 100
     schedule: PartitionSchedule = field(default_factory=lambda: fair_probs(2))
 
     def __post_init__(self):
-        if min(self.latency_ms, self.throughput_bps, self.recovery_ms) <= 0:
+        if not all(v > 0 for v in (self.latency_ms, self.throughput_bps, self.recovery_ms)):
             raise ValueError("latency, throughput and recovery time must be positive")
-        if self.n_cores < 1 or self.samples < 1:
-            raise ValueError("n_cores and samples must be >= 1")
+        if self.n_cores < 1:
+            raise ValueError("n_cores must be >= 1")
+        # ConfigError unless mbar >= 1, gamma >= 0 and element_bits >= 1;
+        # with mbar < 1 a placement tree would split forever
+        wire_cost(self.mbar, self.gamma, self.element_bits)
 
     @property
     def sketch_bits(self) -> int:
@@ -72,28 +74,20 @@ class ScenarioConfig:
 
 
 SCENARIO_PRESETS = {
-    "I": ScenarioConfig("I", latency_ms=10.0, throughput_bps=1e8, recovery_ms=12.3),
-    "II": ScenarioConfig("II", latency_ms=10.0, throughput_bps=1e8, recovery_ms=615.0),
-    "III": ScenarioConfig("III", latency_ms=10.0, throughput_bps=1e4, recovery_ms=12.3),
-}
-
-_SCENARIO_FIELDS = {
-    "name": str,
-    "latency_ms": float,
-    "throughput_bps": float,
-    "recovery_ms": float,
-    "n_cores": int,
-    "element_bits": int,
-    "mbar": int,
-    "gamma": int,
-    "samples": int,
+    "I": ScenarioConfig(latency_ms=10.0, throughput_bps=1e8, recovery_ms=12.3),
+    "II": ScenarioConfig(latency_ms=10.0, throughput_bps=1e8, recovery_ms=615.0),
+    "III": ScenarioConfig(latency_ms=10.0, throughput_bps=1e4, recovery_ms=12.3),
 }
 
 
 def load_scenario(source) -> ScenarioConfig:
-    """Scenario by preset name, or from a key=value text file path."""
+    """Scenario by preset name, or from a key=value text file path whose
+    keys are `ScenarioConfig`'s fields except `schedule`, each parsed as
+    its field's type."""
     if source in SCENARIO_PRESETS:
         return SCENARIO_PRESETS[source]
+    types = typing.get_type_hints(ScenarioConfig)
+    del types["schedule"]
     kwargs = {}
     with open(source, encoding="utf-8") as fobj:
         for lineno, raw in enumerate(fobj, start=1):
@@ -104,10 +98,9 @@ def load_scenario(source) -> ScenarioConfig:
                 raise ValueError(f"{source}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _SCENARIO_FIELDS:
+            if key not in types:
                 raise ValueError(f"{source}:{lineno}: unknown key {key!r}")
-            kwargs[key] = _SCENARIO_FIELDS[key](value.strip())
-    kwargs.setdefault("name", "custom")
+            kwargs[key] = types[key](value.strip())
     return ScenarioConfig(**kwargs)
 
 
@@ -156,13 +149,12 @@ def sample_placement_tree(delta: int, mbar: int, schedule: PartitionSchedule,
 # Event-driven trial.
 
 
-@dataclass
-class TrialResult:
+@dataclass(frozen=True)
+class TrialResult(ReconcileMetrics):
+    """A simulated run's metrics, when its last recovery finished and, if
+    collected, its event log."""
+
     total_ms: float
-    sketches_transmitted: int
-    recovery_calls: int
-    bits_b_to_a: int
-    rounds: int
     log: list[tuple[int, str, str]] | None = None
 
 
@@ -177,20 +169,18 @@ class _Piece:
         self.node, self.depth, self.count, self.ready = node, depth, count, ready
 
 
-class _TreeRun:
+class _TreeRun(RunCounters):
     """A protocol engine's run on a placement tree.  Each fetch and each
     recovery is recorded as an action (is_fetch, log label, actions it
     issues) under the action whose completion issues it."""
 
     def __init__(self, tree: PlacementNode, mbar: int, collect_log: bool):
+        super().__init__()
         self.mbar = mbar
         self.collect_log = collect_log
         # stands before the root: its "recovery" issues the root fetch at time 0
         self.origin = _Piece(tree, 0, tree.count, None)
         self.origin.recovery = (False, None, [])
-        self.tx = 0
-        self.recoveries = 0
-        self.max_tx_depth = 0
 
     def _record(self, cause, is_fetch: bool, path) -> tuple:
         label = (".".join(map(str, path)) or "-") if self.collect_log else None
@@ -261,32 +251,22 @@ def run_trial(protocol: str, tree: PlacementNode, scenario: ScenarioConfig,
     finished = _clock(run.origin.recovery, scenario, log)
     if log is not None:
         log.sort(key=lambda record: record[0])  # stable: ties keep issue order
-    return TrialResult(
-        total_ms=finished / _NS_PER_MS,
-        sketches_transmitted=run.tx,
-        recovery_calls=run.recoveries,
-        bits_b_to_a=run.tx * scenario.sketch_bits,
-        rounds=run.max_tx_depth + 1,
-        log=log,
-    )
+    return run.metrics(scenario.sketch_bits, TrialResult,
+                       total_ms=finished / _NS_PER_MS, log=log)
 
 
-def run_scenario(protocol: str, delta: int, scenario: ScenarioConfig,
-                 seed: int) -> float:
-    """Mean total reconciliation time (ms) over scenario.samples sampled
-    placement trees; deterministic given the seed."""
-    return sweep([delta], scenario, [scenario.n_cores], (protocol,), seed)[0][3]
-
-
-def sweep(deltas, scenario: ScenarioConfig, cores_list, protocols, seed: int):
-    """Rows (delta, protocol, cores, mean_ms, stderr_ms); trees are shared
-    across protocols and core counts for paired comparisons."""
+def sweep(deltas, scenario: ScenarioConfig, cores_list, protocols, seed: int, samples: int):
+    """Rows (delta, protocol, cores, mean_ms, stderr_ms) over `samples`
+    placement trees per delta, deterministic given the seed; trees are
+    shared across protocols and core counts for paired comparisons."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rows = []
     for delta in deltas:
         rng = np.random.default_rng(seed)
         trees = [
             sample_placement_tree(delta, scenario.mbar, scenario.schedule, rng)
-            for _ in range(scenario.samples)
+            for _ in range(samples)
         ]
         for protocol in protocols:
             for cores in cores_list:

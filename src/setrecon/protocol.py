@@ -89,6 +89,22 @@ class ReconcileMetrics:
     bits_b_to_a: int
 
 
+class RunCounters:
+    """The counters of an engine's run, shared by the loopback run
+    (`_Run`) and the simulated one (`netsim._TreeRun`).  Each run's
+    `fetch` bumps `tx` and `max_tx_depth`, and its `recover` bumps
+    `recoveries`, inline."""
+
+    def __init__(self):
+        self.tx = self.recoveries = self.max_tx_depth = 0
+
+    def metrics(self, sketch_bits: int, record=ReconcileMetrics, **extra):
+        """The run's `record`: rounds are 1 + the deepest transmitted
+        partition, and B->A bits cost `sketch_bits` per sketch."""
+        return record(self.tx, self.recoveries, self.max_tx_depth + 1,
+                      self.tx * sketch_bits, **extra)
+
+
 @dataclass(frozen=True)
 class ReconcileResult:
     """One-sided differences as seen from A."""
@@ -224,11 +240,12 @@ def make_loopback(set_b, config: ProtocolConfig, placement=None,
     return LoopbackTransport(Responder(set_b, config, placement), trace)
 
 
-class _Run:
+class _Run(RunCounters):
     """The loopback run of an engine: real sketches, A's side subtracted from
     each of B's replies, and the merge of every recovered piece."""
 
     def __init__(self, set_a, transport, config: ProtocolConfig, placement):
+        super().__init__()
         self.config = config
         self.transport = transport
         self.fingerprint = config.fingerprint()
@@ -236,9 +253,6 @@ class _Run:
         self.index = PartitionIndex(set_a, config, placement)
         self.a_only: set[int] = set()
         self.b_only: set[int] = set()
-        self.tx = 0
-        self.recoveries = 0
-        self.max_tx_depth = 0
         # path -> the last of its children requested so far; both engines
         # request a split's children in order
         self.sent: dict[tuple[int, ...], int] = {}
@@ -285,11 +299,9 @@ class _Run:
 
     def drive(self, engine) -> tuple[ReconcileResult, ReconcileMetrics]:
         engine(self, self.config.schedule.c)
-        bits = self.tx * sk.wire_cost(
-            self.config.mbar, self.config.gamma, self.config.element_bits
-        )
         result = ReconcileResult(frozenset(self.a_only), frozenset(self.b_only))
-        return result, ReconcileMetrics(self.tx, self.recoveries, self.max_tx_depth + 1, bits)
+        config = self.config
+        return result, self.metrics(sk.wire_cost(config.mbar, config.gamma, config.element_bits))
 
 
 def psr_engine(run, c: int) -> None:
@@ -376,7 +388,6 @@ _FIXTURE_PROTOCOLS = {"fig2": "psr", "fig3": "epsr"}
 
 @dataclass(frozen=True)
 class Fixture:
-    name: str
     set_a: frozenset[int]
     set_b: frozenset[int]
     config: ProtocolConfig
@@ -402,4 +413,4 @@ def load_fixture(name: str) -> Fixture:
     set_b = frozenset({2, 4, 6, 8})
     placement = {e: key_range(config.schedule, word)[0]
                  for e, word in WORKED_EXAMPLE_WORDS.items()}
-    return Fixture(name, set_a, set_b, config, placement)
+    return Fixture(set_a, set_b, config, placement)

@@ -187,8 +187,37 @@ def test_netsim_preset_vs_custom_file(tmp_path):
     assert out1.read_text() == out2.read_text()
 
 
-def test_netsim_unknown_scenario():
+def test_netsim_cores_default_to_scenario_file(tmp_path):
+    custom = tmp_path / "scen.txt"
+    custom.write_text("n_cores = 2\n")
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    common = ["netsim", "--delta", "100", "--samples", "5", "--seed", "4"]
+    assert run_cli(*common, "--scenario", "I", "--cores", "2", "--out", str(out1)) == 0
+    assert run_cli(*common, "--scenario", str(custom), "--out", str(out2)) == 0
+    assert out1.read_text() == out2.read_text()
+    assert out2.read_text().splitlines()[1].startswith("100,psr,2,")
+
+
+def test_netsim_unknown_scenario(tmp_path, capsys):
     assert run_cli("netsim", "--scenario", "IV") == 2
+    # keys the CLI would ignore are refused, not silently dropped
+    for line in ("samples = 5", "name = x"):
+        custom = tmp_path / "scen.txt"
+        custom.write_text(line + "\n")
+        assert run_cli("netsim", "--scenario", str(custom)) == 2
+        assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "analyze --mbar 0", "analyze --gamma -1", "analyze --delta-max -1", "mc --mbar 0",
+    "reconcile --mbar 0", "reconcile --gamma -1", "reconcile --c 1",
+    "reconcile --delta -1", "reconcile --shared -1",
+    "netsim --samples 0", "netsim --cores 0",
+])
+def test_invalid_arguments_exit_2(argv, capsys):
+    assert run_cli(*argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_verify_quick_criteria(tmp_path, capsys):

@@ -1,5 +1,5 @@
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -93,7 +93,8 @@ def test_deterministic_event_logs():
     r1 = netsim.run_trial("epsr", tree, sc, collect_log=True)
     r2 = netsim.run_trial("epsr", tree, sc, collect_log=True)
     assert r1.log == r2.log and r1.total_ms == r2.total_ms
-    assert netsim.run_scenario("psr", 200, sc, 7) == netsim.run_scenario("psr", 200, sc, 7)
+    assert (netsim.sweep([200], sc, [1], ("psr",), 7, 100)
+            == netsim.sweep([200], sc, [1], ("psr",), 7, 100))
     # log is globally time ordered; FIFO disciplines are visible in it
     times = [t for t, _, _ in r1.log]
     assert times == sorted(times)
@@ -126,7 +127,7 @@ def test_preset_values_exact():
     assert [presets[k].throughput_bps for k in "I II III".split()] == [1e8, 1e8, 1e4]
     assert [presets[k].recovery_ms for k in "I II III".split()] == [12.3, 615.0, 12.3]
     for sc in presets.values():
-        assert (sc.element_bits, sc.mbar, sc.gamma, sc.samples) == (256, 50, 1, 100)
+        assert (sc.element_bits, sc.mbar, sc.gamma) == (256, 50, 1)
         assert sc.schedule == fair_probs(2)
     assert presets["I"].serialization_ns == 133_630
     assert presets["III"].serialization_ns == 1_336_300_000
@@ -150,6 +151,19 @@ def test_scenario_file_matches_preset(tmp_path):
     )
 
 
+@pytest.mark.parametrize("name", sorted(netsim.SCENARIO_PRESETS))
+def test_preset_round_trips_through_scenario_file(tmp_path, name):
+    # every key a scenario file accepts, so a new ScenarioConfig field
+    # that a file cannot set fails here
+    preset = netsim.SCENARIO_PRESETS[name]
+    keys = ("latency_ms", "throughput_bps", "recovery_ms", "n_cores",
+            "element_bits", "mbar", "gamma")
+    path = tmp_path / "preset.txt"
+    path.write_text("".join(f"{key} = {getattr(preset, key)}\n" for key in keys))
+    assert netsim.load_scenario(str(path)) == preset
+    assert {f.name for f in fields(netsim.ScenarioConfig)} == {*keys, "schedule"}
+
+
 def test_scenario_file_errors(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("latency_ms = 10\nwarp_factor = 9\n")
@@ -158,13 +172,17 @@ def test_scenario_file_errors(tmp_path):
     bad.write_text("latency_ms 10\n")
     with pytest.raises(ValueError):
         netsim.load_scenario(str(bad))
+    for key in ("samples = 5", "name = x", "schedule = 1/2,1/2"):
+        bad.write_text(key + "\n")
+        with pytest.raises(ValueError, match="unknown key"):
+            netsim.load_scenario(str(bad))
 
 
 def test_hand_computed_fifo_timings():
     # mbar=2: root of 4 splits once into two succeeding leaves.  Link
     # serialization 100 ms forces visible FIFO queueing of the two replies.
     sc = netsim.ScenarioConfig(
-        "hand", latency_ms=10, throughput_bps=10270, recovery_ms=5,
+        latency_ms=10, throughput_bps=10270, recovery_ms=5,
         element_bits=256, mbar=2, gamma=1,
     )
     assert sc.serialization_ns == 100_000_000
@@ -324,8 +342,8 @@ def test_deep_tree_trials():
 def test_sweep_csv(tmp_path):
     import io
 
-    sc = replace(netsim.SCENARIO_PRESETS["I"], samples=3)
-    rows = netsim.sweep([60, 120], sc, [1, 2], ("psr", "epsr"), seed=1)
+    sc = netsim.SCENARIO_PRESETS["I"]
+    rows = netsim.sweep([60, 120], sc, [1, 2], ("psr", "epsr"), seed=1, samples=3)
     assert len(rows) == 8
     buf = io.StringIO()
     netsim.write_sweep_csv(buf, rows)
@@ -362,8 +380,14 @@ def test_run_trial_digest():
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        netsim.ScenarioConfig("x", latency_ms=0)
+        netsim.ScenarioConfig(latency_ms=0)
     with pytest.raises(ValueError):
-        netsim.ScenarioConfig("x", n_cores=0)
+        netsim.ScenarioConfig(n_cores=0)
+    with pytest.raises(ValueError):
+        netsim.ScenarioConfig(mbar=0)
+    with pytest.raises(ValueError):
+        netsim.ScenarioConfig(throughput_bps=float("nan"))
+    with pytest.raises(ValueError):
+        netsim.sweep([10], netsim.SCENARIO_PRESETS["I"], [1], ("psr",), seed=0, samples=0)
     with pytest.raises(ValueError):
         netsim.run_trial("udp", netsim.PlacementNode(1), netsim.SCENARIO_PRESETS["I"])
