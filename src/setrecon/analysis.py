@@ -10,8 +10,14 @@ Three quantities are tabulated as functions of the difference count d
 
 Each satisfies a conditional recursion over the multinomial placement of
 the d difference elements into c weighted children.  The float tables are
-computed bottom-up in log space (binomial terms below exp(-700) underflow
-to zero, a documented absolute error well under 1e-10 per entry).  Exact
+computed bottom-up in log space.  Row d sums, for each child of weight p,
+only the binomial window |i - d p| < sqrt(L d / 2): by Hoeffding's
+inequality (Hoeffding, JASA 1963) the Binomial(d, p) mass outside it is at
+most 2 exp(-L).  With L = 50 that is 3.9e-22 of each child's binomial
+weight.  It multiplies earlier entries, which grow about linearly in d,
+so the omitted terms stay some five orders of magnitude below one ulp
+(2^-53 ~ 1.1e-16) of the entry, and a row costs O(c sqrt(d)) terms
+instead of O(c d).  Exact
 Fraction evaluators of the same recursions, plus an independent oracle
 that enumerates every placement of a split directly from the per-tree
 counting rules, serve as references.  The Monte Carlo sampler
@@ -47,14 +53,20 @@ class ExpectationTables:
     u_bar: np.ndarray
 
 
-def _epsr_correction(d: int, mbar: int, lg: np.ndarray, skip_front: list[float]) -> float:
-    """sum over F in skip_front of sum_{i=0..mbar} C(d,i) (1-F)^i F^(d-i)."""
-    total = 0.0
-    i = np.arange(mbar + 1)
-    base = lg[d] - lg[i] - lg[d - i]
+# L of the binomial window; the module docstring derives it.
+_WINDOW_L = 50.0
+
+
+def _epsr_corrections(delta_max: int, mbar: int, lg: np.ndarray,
+                      skip_front: list[float]) -> np.ndarray:
+    """Row d: sum over F in skip_front of sum_{i=0..mbar} C(d,i) (1-F)^i F^(d-i)."""
+    corr = np.zeros(delta_max + 1)
+    d = np.arange(mbar + 1, delta_max + 1)
     for f in skip_front:
-        total += float(np.exp(base + i * math.log1p(-f) + (d - i) * math.log(f)).sum())
-    return total
+        for i in range(mbar + 1):
+            corr[mbar + 1:] += np.exp(lg[d] - lg[i] - lg[d - i] + i * math.log1p(-f)
+                                      + (d - i) * math.log(f))
+    return corr
 
 
 @lru_cache(maxsize=32)
@@ -69,26 +81,25 @@ def expectation_tables(delta_max: int, mbar: int,
     # the first c-2 children, that everything beyond that child fits mbar.
     skip_front = [float(f) for f in np.cumsum(probs)[: c - 2]]
     lg = _lgamma_table(delta_max)
-    n_bar = np.ones(delta_max + 1)
-    t_bar = np.ones(delta_max + 1)
-    u_bar = np.ones(delta_max + 1)
+    corr = _epsr_corrections(delta_max, mbar, lg, skip_front)
+    # columns n_bar, t_bar, u_bar
+    x = np.ones((delta_max + 1, 3))
     idx = np.arange(delta_max + 1, dtype=float)
     logp = [math.log(p) for p in probs]
     log1p = [math.log1p(-p) for p in probs]
     for d in range(mbar + 1, delta_max + 1):
-        i = idx[:d]
-        base = lg[d] - lg[:d] - lg[d:0:-1]
-        s_n = s_t = s_u = 0.0
-        for j in range(c):
-            w = np.exp(base + i * (logp[j] - log1p[j]) + d * log1p[j])
-            s_n += float(w @ n_bar[:d])
-            s_t += float(w @ t_bar[:d])
-            s_u += float(w @ u_bar[:d])
+        r = math.sqrt(_WINDOW_L * d / 2)
+        s = np.zeros(3)
+        for j, p in enumerate(probs):
+            lo, hi = max(0, math.ceil(d * p - r)), min(d, math.floor(d * p + r) + 1)
+            i = idx[lo:hi]
+            w = np.exp(lg[d] - lg[lo:hi] - lg[d - lo:d - hi:-1]
+                       + i * (logp[j] - log1p[j]) + d * log1p[j])
+            s += w @ x[lo:hi]
         denom = 1.0 - sum(p**d for p in probs)
-        corr = _epsr_correction(d, mbar, lg, skip_front) if c > 2 else 0.0
-        n_bar[d] = (1.0 + s_n) / denom
-        t_bar[d] = (s_t - corr) / denom
-        u_bar[d] = (s_u + (c - 1) - 2.0 * corr) / denom
+        x[d] = ((1.0 + s[0]) / denom, (s[1] - corr[d]) / denom,
+                (s[2] + (c - 1) - 2.0 * corr[d]) / denom)
+    n_bar, t_bar, u_bar = (np.ascontiguousarray(x[:, k]) for k in range(3))
     for arr in (n_bar, t_bar, u_bar):
         arr.flags.writeable = False
     return ExpectationTables(n_bar, t_bar, u_bar)

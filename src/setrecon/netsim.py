@@ -82,8 +82,9 @@ SCENARIO_PRESETS = {
 
 def load_scenario(source) -> ScenarioConfig:
     """Scenario by preset name, or from a key=value text file path whose
-    keys are `ScenarioConfig`'s fields except `schedule`, each parsed as
-    its field's type."""
+    keys are `ScenarioConfig`'s fields except `schedule`, each given at
+    most once and parsed as its field's type.  A malformed line raises
+    `ValueError` naming FILE:LINE."""
     if source in SCENARIO_PRESETS:
         return SCENARIO_PRESETS[source]
     types = typing.get_type_hints(ScenarioConfig)
@@ -100,7 +101,13 @@ def load_scenario(source) -> ScenarioConfig:
             key = key.strip()
             if key not in types:
                 raise ValueError(f"{source}:{lineno}: unknown key {key!r}")
-            kwargs[key] = types[key](value.strip())
+            if key in kwargs:
+                raise ValueError(f"{source}:{lineno}: key {key!r} given twice")
+            try:
+                kwargs[key] = types[key](value.strip())
+            except ValueError:
+                raise ValueError(f"{source}:{lineno}: key {key!r}: not "
+                                 f"{types[key].__name__}: {value.strip()!r}") from None
     return ScenarioConfig(**kwargs)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from setrecon import analysis as an
 from setrecon.netsim import sample_placement_tree
-from setrecon.partition import fair_probs, round_optimal_probs
+from setrecon.partition import fair_probs, round_optimal_probs, schedule_from_strings
 from test_netsim import _tree_counts
 
 
@@ -26,6 +26,28 @@ def psr_expected_recoveries_fair(delta_max: int, mbar: int, c: int) -> np.ndarra
     return n_bar
 
 
+def full_sum_tables(delta_max: int, mbar: int, schedule) -> np.ndarray:
+    """(n_bar, t_bar, u_bar) with every binomial term i < d of each row
+    summed, a reference for the windowed general evaluator.  Its exponents
+    are grouped as the evaluator's, since lgamma's rounding at d in the
+    thousands would otherwise move the weights by a relative ~1e-13."""
+    probs = schedule.as_floats()
+    c = len(probs)
+    lg = np.array([math.lgamma(k + 1) for k in range(delta_max + 1)])
+    x = np.ones((delta_max + 1, 3))
+    k = np.arange(mbar + 1)
+    for d in range(mbar + 1, delta_max + 1):
+        i = np.arange(d, dtype=float)
+        base = lg[d] - lg[:d] - lg[d:0:-1]
+        s = sum(np.exp(base + i * (math.log(p) - math.log1p(-p)) + d * math.log1p(-p)) @ x[:d]
+                for p in probs)
+        corr = sum(np.exp(lg[d] - lg[k] - lg[d - k] + k * math.log1p(-f) + (d - k) * math.log(f)).sum()
+                   for f in np.cumsum(probs)[: c - 2])
+        denom = 1.0 - sum(p**d for p in probs)
+        x[d] = (1 + s[0]) / denom, (s[1] - corr) / denom, (s[2] + c - 1 - 2 * corr) / denom
+    return x.T
+
+
 def test_base_case_and_spot_values():
     t = an.expectation_tables(10, 2, fair_probs(2))
     assert np.all(t.n_bar[:3] == 1) and np.all(t.t_bar[:3] == 1) and np.all(t.u_bar[:3] == 1)
@@ -41,6 +63,19 @@ def test_fair_specialization_matches_general():
         assert np.max(np.abs(general - fair) / fair) < 1e-12
 
 
+@pytest.mark.parametrize("schedule", [
+    fair_probs(2), fair_probs(3), fair_probs(8), round_optimal_probs(4), round_optimal_probs(8),
+    schedule_from_strings(["0.15", "0.85"]), schedule_from_strings(["0.01", "0.99"]),
+    schedule_from_strings(["0.15", "0.1", "0.25", "0.2", "0.3"]),
+], ids=["fair2", "fair3", "fair8", "ro4", "ro8", "15-85", "1-99", "five-way"])
+def test_window_matches_full_sum(schedule):
+    # the window drops binomial mass below 2 exp(-50) per child and row
+    t = an.expectation_tables(3000, 25, schedule)
+    ref = full_sum_tables(3000, 25, schedule)
+    for got, want in zip((t.n_bar, t.t_bar, t.u_bar), ref):
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
 def test_exact_matches_float():
     sched = round_optimal_probs(3)
     exact = an.exact_expectation_tables(40, 2, sched)
@@ -51,7 +86,8 @@ def test_exact_matches_float():
 
 
 def test_exact_matches_float_mid_scale():
-    # accumulated log-space error stays far below the 1e-10 budget
+    # the window leaves out binomial mass below 2 exp(-50) per child and
+    # row, so what remains is log-space rounding, far below rel 1e-11
     for sched, mbar, dmax in ((fair_probs(2), 25, 120), (round_optimal_probs(3), 6, 80)):
         exact = an.exact_expectation_tables(dmax, mbar, sched)
         t = an.expectation_tables(dmax, mbar, sched)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -175,6 +176,15 @@ def test_scenario_file_errors(tmp_path):
     for key in ("samples = 5", "name = x", "schedule = 1/2,1/2"):
         bad.write_text(key + "\n")
         with pytest.raises(ValueError, match="unknown key"):
+            netsim.load_scenario(str(bad))
+    # a value that does not parse, or a key given twice, is refused with
+    # its file, line and key
+    for text, line, key in (("latency_ms = 5\nmbar =\n", 2, "mbar"),
+                            ("latency_ms = x\n", 1, "latency_ms"),
+                            ("n_cores = 2.5\n", 1, "n_cores"),
+                            ("mbar = 4\n# note\nmbar = 5\n", 3, "mbar")):
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}:{line}: key '{key}'"):
             netsim.load_scenario(str(bad))
 
 
