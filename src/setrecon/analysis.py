@@ -61,6 +61,8 @@ def _epsr_corrections(delta_max: int, mbar: int, lg: np.ndarray,
                       skip_front: list[float]) -> np.ndarray:
     """Row d: sum over F in skip_front of sum_{i=0..mbar} C(d,i) (1-F)^i F^(d-i)."""
     corr = np.zeros(delta_max + 1)
+    if mbar >= delta_max:  # no row past the base case
+        return corr
     d = np.arange(mbar + 1, delta_max + 1)
     for f in skip_front:
         for i in range(mbar + 1):

@@ -262,11 +262,9 @@ def _split_linear(
     # linear factors Z - r with r != 0 (degree 2 is solved directly, or
     # None).  For u = (Z + a)^((q-1)/2^s) mod f, u(r) is a 2^s-th root of
     # unity zeta, or 0 for r = -a; gcd(u - zeta, f) takes out the class of
-    # zeta, and what is left after every zeta is the class of 0.  When -a
-    # is not a root, that class is empty, so what is left after all but the
-    # last zeta is the last zeta's class, and its gcd is skipped.  The
-    # candidates u in `first`, at shift 0 (0 is never a root), are tried
-    # before up to 64 shifts a drawn from rng.
+    # zeta, and what is left after every zeta is the class of 0.  The
+    # candidates u in `first` are tried before up to 64 shifts a drawn
+    # from rng.
     deg = len(f) - 1
     if deg == 0:
         return []
@@ -276,12 +274,10 @@ def _split_linear(
         return _quadratic_roots(f, q)
     zetas = _unit_roots(q, deg)
     e = (q - 1) // len(zetas)
-    shifts = (rng.randrange(q) for _ in range(64))
-    drawn = ((a, poly_pow_mod([a, 1], e, f, q)) for a in shifts)
-    for a, u in chain(((0, u) for u in first), drawn):
+    drawn = (poly_pow_mod([rng.randrange(q), 1], e, f, q) for _ in range(64))
+    for u in chain(first, drawn):
         parts, rest = [], f
-        zero_class = a != 0 and poly_eval(f, q - a, q) == 0
-        for zeta in zetas if zero_class else zetas[:-1]:
+        for zeta in zetas:
             g = poly_gcd(poly_sub(u, [zeta], q), rest, q)
             if len(g) > 1:
                 parts.append(g)

@@ -56,6 +56,15 @@ def test_base_case_and_spot_values():
     assert t.u_bar[3] == pytest.approx(11 / 3, rel=1e-12)
 
 
+@pytest.mark.parametrize("c", [2, 3, 4])
+@pytest.mark.parametrize("delta_max, mbar", [(10, 25), (10, 10), (0, 1)])
+def test_all_base_case_when_mbar_covers_delta_max(delta_max, mbar, c):
+    # every d <= mbar fits one sketch, so no row is past the base case
+    t = an.expectation_tables(delta_max, mbar, fair_probs(c))
+    for arr in (t.n_bar, t.t_bar, t.u_bar):
+        assert arr.shape == (delta_max + 1,) and np.all(arr == 1)
+
+
 def test_fair_specialization_matches_general():
     for c in (2, 3, 4):
         general = an.expectation_tables(300, 3, fair_probs(c)).n_bar

@@ -334,24 +334,6 @@ def test_find_distinct_roots_one_full_degree_exponentiation(monkeypatch):
     assert [c for c in calls if len(c[2]) >= len(f) - 1] == [([0, 1], (q - 1) // 8, f[1:], q)]
 
 
-def test_split_linear_skips_the_last_class_gcd(monkeypatch):
-    # What is left after the gcds with u - zeta for all but the last 2^s-th
-    # root of unity is the last one's class, unless the shift's own root -a
-    # is a root of f, so that gcd is skipped.  Over F_1009, f/Z splits 8
-    # ways at shift 0 and 22 sits in the last class: 7 gcds, not 8.  Over
-    # F_7 with roots 1, 2, 4, shift 0 leaves one class (1 gcd).  Seed 1
-    # draws a = 1, and -1 is no root: 1 gcd splits {1} from {2, 4}, not 2.
-    # Seed 0 draws a = 6, and -6 = 1 is a root: both gcds run.
-    calls = []
-    real = fm.poly_gcd
-    monkeypatch.setattr(fm, "poly_gcd", lambda *args: calls.append(args) or real(*args))
-    for q, roots, seed, gcds in ((1009, [1, 3, 5, 7, 22, 0], 0, 7),
-                                 (7, [1, 2, 4], 1, 2), (7, [1, 2, 4], 0, 3)):
-        calls.clear()
-        got = fm.find_distinct_roots(poly_from_roots(roots, q), q, random.Random(seed))
-        assert sorted(got) == sorted(roots) and len(calls) == gcds, (q, seed)
-
-
 def test_find_distinct_roots_keeps_the_class_of_the_shift():
     # Over F_7, r^3 = 1 for r in {1, 2, 4}, so u = Z^3 leaves the whole root
     # set in one class at shift 0.  A drawn shift a = -r gives u(r) = 0: r
