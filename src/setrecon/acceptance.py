@@ -80,9 +80,7 @@ def criterion_1_worked_examples() -> tuple[bool, str]:
     expected = {"fig2": (11, 11, 4), "fig3": (6, 11, 4)}
     for name, (tx, rec, rounds) in expected.items():
         fx = load_fixture(name)
-        res, m = reconcile(
-            fx.set_a, make_loopback(fx.set_b, fx.config, fx.placement), fx.config, fx.placement
-        )
+        res, m = reconcile(fx.set_a, make_loopback(fx.set_b, fx.config), fx.config)
         got = (m.sketches_transmitted, m.recovery_calls, m.rounds)
         chk.expect(got == (tx, rec, rounds), f"{name}: metrics {got} != {(tx, rec, rounds)}")
         chk.expect(
@@ -325,8 +323,12 @@ CRITERIA = (
 
 
 def run_criteria(numbers=None, out=print) -> list[CriterionResult]:
-    """Run the selected criteria (all by default), printing one line each."""
-    selected = set(numbers) if numbers else {n for n, _, _ in CRITERIA}
+    """Run the selected criteria (all by default), printing one line each.
+    A number with no criterion raises `ValueError` before any runs."""
+    known = {n for n, _, _ in CRITERIA}
+    selected = set(numbers) if numbers else known
+    if selected - known:
+        raise ValueError(f"no criterion {sorted(selected - known)}; they are 1-{len(CRITERIA)}")
     results = []
     for number, name, fn in CRITERIA:
         if number not in selected:

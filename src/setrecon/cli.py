@@ -17,7 +17,7 @@ import io
 import json
 import random
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -151,7 +151,6 @@ def cmd_reconcile(args) -> int:
         config = replace(fixture.config, protocol=protocol)
         set_a, set_b = set(fixture.set_a), set(fixture.set_b)
         a_only, b_only = fixture.set_a, fixture.set_b
-        placement = fixture.placement
     else:
         protocol = args.protocol or "psr"
         schedule = _schedule_from_args(args)
@@ -167,11 +166,8 @@ def cmd_reconcile(args) -> int:
             args.mbar, args.gamma, args.bits, schedule,
             hash_seed=args.seed, protocol=protocol,
         )
-        placement = None
     trace = ProtocolTrace() if args.trace else None
-    result, metrics = reconcile(
-        set_a, make_loopback(set_b, config, placement, trace), config, placement
-    )
+    result, metrics = reconcile(set_a, make_loopback(set_b, config, trace), config)
     if trace is not None:
         with open(args.trace, "w", encoding="utf-8") as fobj:
             trace.write(fobj)
@@ -183,11 +179,7 @@ def cmd_reconcile(args) -> int:
         "gamma": config.gamma,
         "bits": config.element_bits,
         "seed": args.seed,
-        "metrics": {
-            "sketches_transmitted": metrics.sketches_transmitted,
-            "recovery_calls": metrics.recovery_calls,
-            "rounds": metrics.rounds,
-            "bits_b_to_a": metrics.bits_b_to_a,
+        "metrics": asdict(metrics) | {
             "wire_cost_per_sketch": wire_cost(config.mbar, config.gamma, config.element_bits),
         },
         "correct": result.a_only == a_only and result.b_only == b_only,

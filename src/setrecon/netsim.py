@@ -50,6 +50,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if not all(v > 0 for v in (self.latency_ms, self.throughput_bps, self.recovery_ms)):
             raise ValueError("latency, throughput and recovery time must be positive")
+        if not all(map(math.isfinite, (self.latency_ms, self.recovery_ms))):
+            raise ValueError("latency and recovery time must be finite")
         if self.n_cores < 1:
             raise ValueError("n_cores must be >= 1")
         # ConfigError unless mbar >= 1, gamma >= 0 and element_bits >= 1;

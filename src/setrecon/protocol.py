@@ -15,10 +15,10 @@ recovery of `z` succeeded.  `ENGINES` names the two engines:
   split and derives the remaining child by subtracting the transmitted
   ones from the parent sketch, halving communication.
 
-A placement maps each element to a 64-bit key, by default its hash
-`key_of(element, hash_seed)`.  In a `PartitionIndex` each party's set is
-sorted by key once, a partition is the slice between the bisections at the
-ends of its `key_range`, and its sketch a ratio of two prefix sketches.
+The config's placement maps each element to a 64-bit key, by default its
+hash `key_of(element, hash_seed)`.  In a `PartitionIndex` each party's set
+is sorted by key once, a partition is the slice between the bisections at
+the ends of its `key_range`, and its sketch a ratio of two prefix sketches.
 
 `psr_reconcile`, `epsr_reconcile` and `reconcile` run the engines on real
 sketches over a transport; `netsim.run_trial` runs the same engines on
@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_left
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from . import sketch as sk
@@ -51,7 +52,9 @@ class ProtocolError(Exception):
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Parameters shared by both parties of a reconciliation."""
+    """Parameters shared by both parties of a reconciliation.  `placement`
+    maps each element to its 64-bit key; None means `key_of(element,
+    hash_seed)`.  The fingerprint leaves the placement out."""
 
     mbar: int
     gamma: int
@@ -59,6 +62,7 @@ class ProtocolConfig:
     schedule: PartitionSchedule
     hash_seed: int = 0
     protocol: str = "psr"
+    placement: Mapping[int, int] | None = field(default=None, hash=False)
 
     def __post_init__(self):
         if self.protocol not in ENGINES:
@@ -121,15 +125,14 @@ class PartitionIndex:
     is the slice of keys in its `key_range`.  Prefix sketches, one every
     `_CHUNK` elements and one of the whole set, are made at construction;
     a node's sketch is the ratio of the prefixes around its slice with its
-    < 2 * `_CHUNK` ends inserted.  `placement` maps elements to keys; by
-    default an element's key is `key_of(element, hash_seed)`."""
+    < 2 * `_CHUNK` ends inserted."""
 
-    def __init__(self, elements, config: ProtocolConfig, placement=None):
+    def __init__(self, elements, config: ProtocolConfig):
         self._schedule, self._field = config.schedule, config.field_config
         elements = list(elements)
         if len(set(elements)) != len(elements):
             raise sk.ElementError("duplicate elements: sketches represent sets")
-        seed = config.hash_seed
+        placement, seed = config.placement, config.hash_seed
         self.key = placement.get if placement is not None else lambda e: key_of(e, seed)
         keys = list(map(self.key, elements))
         if None in keys:
@@ -159,8 +162,9 @@ class PartitionIndex:
         lo, hi = self._slice(first, end)
         return self._elements[lo:hi]
 
-    def sketch(self, path: tuple[int, ...]) -> sk.SRSketch:
-        lo, hi = self._slice(*self.span(path))
+    def sketch(self, first: int, end: int) -> sk.SRSketch:
+        """The sketch of `elements_in(first, end)`."""
+        lo, hi = self._slice(first, end)
         first = -(-lo // _CHUNK)
         last = len(self._prefix) - 1 if hi == len(self._elements) else hi // _CHUNK
         if first < last:
@@ -203,10 +207,9 @@ class Responder:
     set is fixed, so each path's sketch is made once and kept for later
     clients: one sketch per distinct path requested."""
 
-    def __init__(self, set_b, config: ProtocolConfig, placement=None):
-        self.config = config
+    def __init__(self, set_b, config: ProtocolConfig):
         self._fingerprint = config.fingerprint()
-        self._index = PartitionIndex(set_b, config, placement)
+        self._index = PartitionIndex(set_b, config)
         self._sketches: dict[tuple[int, ...], sk.SRSketch] = {}
 
     def reply(self, fingerprint: str, path: tuple[int, ...]) -> bytes:
@@ -214,7 +217,7 @@ class Responder:
             raise ProtocolError("request fingerprint does not match responder config")
         z = self._sketches.get(path)
         if z is None:
-            z = self._sketches[path] = self._index.sketch(path)
+            z = self._sketches[path] = self._index.sketch(*self._index.span(path))
         return sk.to_bytes(z)
 
 
@@ -235,30 +238,29 @@ class LoopbackTransport:
         return blob
 
 
-def make_loopback(set_b, config: ProtocolConfig, placement=None,
+def make_loopback(set_b, config: ProtocolConfig,
                   trace: ProtocolTrace | None = None) -> LoopbackTransport:
-    return LoopbackTransport(Responder(set_b, config, placement), trace)
+    return LoopbackTransport(Responder(set_b, config), trace)
 
 
 class _Run(RunCounters):
     """The loopback run of an engine: real sketches, A's side subtracted from
-    each of B's replies, and the merge of every recovered piece."""
+    each of B's replies, and the merge of every recovered piece.  A piece is
+    a difference sketch with the (first, end) key range it covers."""
 
-    def __init__(self, set_a, transport, config: ProtocolConfig, placement):
+    def __init__(self, set_a, transport, config: ProtocolConfig):
         super().__init__()
         self.config = config
         self.transport = transport
         self.fingerprint = config.fingerprint()
         self.field = config.field_config
-        self.index = PartitionIndex(set_a, config, placement)
+        self.index = PartitionIndex(set_a, config)
         self.a_only: set[int] = set()
         self.b_only: set[int] = set()
-        # path -> the last of its children requested so far; both engines
-        # request a split's children in order
-        self.sent: dict[tuple[int, ...], int] = {}
 
-    def fetch(self, path: tuple[int, ...], after) -> sk.SRSketch:
-        za = self.index.sketch(path)
+    def fetch(self, path: tuple[int, ...], after) -> tuple[sk.SRSketch, int, int]:
+        first, end = self.index.span(path)
+        za = self.index.sketch(first, end)
         blob = self.transport.request(self.fingerprint, path)
         try:
             zb = sk.from_bytes(blob)
@@ -268,26 +270,22 @@ class _Run(RunCounters):
             raise ProtocolError("reply sketch configuration mismatch")
         self.tx += 1
         self.max_tx_depth = max(self.max_tx_depth, len(path))
-        if path:
-            self.sent[path[:-1]] = path[-1]
-        return sk.subtract(za, zb)
+        return sk.subtract(za, zb), first, end
 
-    def subtract(self, z: sk.SRSketch, z_child: sk.SRSketch) -> sk.SRSketch:
-        return sk.subtract(z, z_child)
+    def subtract(self, z, z_child):
+        """The residual covers the keys after the child's: both engines
+        request a split's children in order."""
+        return sk.subtract(z[0], z_child[0]), z_child[2], z[2]
 
-    def recover(self, path: tuple[int, ...], z: sk.SRSketch) -> bool:
-        """Whether `z` recovers to the difference at `path`.  Once some of
-        the path's children were requested, `z` is a residual and covers
-        only the keys of the children not requested yet.  `sk.recover`
-        checks the piece against A's elements in those keys, its
+    def recover(self, path: tuple[int, ...], piece) -> bool:
+        """Whether the piece recovers to the difference in its keys.
+        `sk.recover` checks it against A's elements in those keys, its
         candidates; a success counts only if none of the piece is merged
         already (pieces come from disjoint partitions or residuals) and
         every B-only key lies in them.  Otherwise the engine splits
         further."""
         self.recoveries += 1
-        first, end = self.index.span(path)
-        if path in self.sent:
-            first = self.index.span(path + (self.sent[path],))[1]
+        z, first, end = piece
         outcome = sk.recover(z, self.index.elements_in(first, end))
         got_a, got_b = outcome.recovered_a, outcome.recovered_b
         if not (outcome.flag and self.a_only.isdisjoint(got_a) and self.b_only.isdisjoint(got_b)
@@ -354,18 +352,18 @@ def epsr_engine(run, c: int) -> None:
 ENGINES = {"psr": psr_engine, "epsr": epsr_engine}
 
 
-def psr_reconcile(set_a, transport, config: ProtocolConfig, placement=None):
+def psr_reconcile(set_a, transport, config: ProtocolConfig):
     """Reconcile with `psr_engine`: one sketch per visited partition."""
-    return _Run(set_a, transport, config, placement).drive(psr_engine)
+    return _Run(set_a, transport, config).drive(psr_engine)
 
 
-def epsr_reconcile(set_a, transport, config: ProtocolConfig, placement=None):
+def epsr_reconcile(set_a, transport, config: ProtocolConfig):
     """Reconcile with `epsr_engine`: the last child's sketch is derived."""
-    return _Run(set_a, transport, config, placement).drive(epsr_engine)
+    return _Run(set_a, transport, config).drive(epsr_engine)
 
 
-def reconcile(set_a, transport, config: ProtocolConfig, placement=None):
-    return _Run(set_a, transport, config, placement).drive(ENGINES[config.protocol])
+def reconcile(set_a, transport, config: ProtocolConfig):
+    return _Run(set_a, transport, config).drive(ENGINES[config.protocol])
 
 
 # Path words of the documented 9-difference splitting tree (root 9 -> 5/4
@@ -391,7 +389,6 @@ class Fixture:
     set_a: frozenset[int]
     set_b: frozenset[int]
     config: ProtocolConfig
-    placement: dict[int, int]
 
 
 def load_fixture(name: str) -> Fixture:
@@ -401,16 +398,17 @@ def load_fixture(name: str) -> Fixture:
         proto = _FIXTURE_PROTOCOLS[name]
     except KeyError:
         raise ValueError(f"unknown fixture {name!r}; choose from fig2, fig3") from None
+    schedule = fair_probs(2)
+    placement = {e: key_range(schedule, word)[0] for e, word in WORKED_EXAMPLE_WORDS.items()}
     config = ProtocolConfig(
         mbar=2,
         gamma=1,
         element_bits=16,
-        schedule=fair_probs(2),
+        schedule=schedule,
         hash_seed=0,
         protocol=proto,
+        placement=placement,
     )
     set_a = frozenset({1, 3, 5, 7, 9})
     set_b = frozenset({2, 4, 6, 8})
-    placement = {e: key_range(config.schedule, word)[0]
-                 for e, word in WORKED_EXAMPLE_WORDS.items()}
-    return Fixture(set_a, set_b, config, placement)
+    return Fixture(set_a, set_b, config)

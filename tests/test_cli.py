@@ -213,6 +213,7 @@ def test_netsim_unknown_scenario(tmp_path, capsys):
     "reconcile --mbar 0", "reconcile --gamma -1", "reconcile --c 1",
     "reconcile --delta -1", "reconcile --shared -1",
     "netsim --samples 0", "netsim --cores 0",
+    "verify --criteria 10", "verify --criteria 0,9",
 ])
 def test_invalid_arguments_exit_2(argv, capsys):
     assert run_cli(*argv.split()) == 2

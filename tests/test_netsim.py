@@ -186,6 +186,11 @@ def test_scenario_file_errors(tmp_path):
         bad.write_text(text)
         with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}:{line}: key '{key}'"):
             netsim.load_scenario(str(bad))
+    # an infinite time parses as a float but cannot be simulated
+    for text in ("latency_ms = inf\n", "recovery_ms = inf\n"):
+        bad.write_text(text)
+        with pytest.raises(ValueError, match="finite"):
+            netsim.load_scenario(str(bad))
 
 
 def test_hand_computed_fifo_timings():
@@ -223,13 +228,12 @@ def test_conservation_and_equivalence_with_protocol_engines():
         placement = {e: key_range(fair_probs(2), w)[0] for e, w in zip(elements, words)}
         set_a = set(elements[0::2])
         set_b = set(elements[1::2])
-        config = proto.ProtocolConfig(2, 1, 16, fair_probs(2))
+        config = proto.ProtocolConfig(2, 1, 16, fair_probs(2), placement=placement)
         walker = _tree_counts(tree, 2, 2)
         for protocol, engine in (("psr", proto.psr_reconcile), ("epsr", proto.epsr_reconcile)):
             trace = proto.ProtocolTrace()
             res, metrics = engine(
-                set_a, proto.make_loopback(set_b, config, placement, trace),
-                config, placement,
+                set_a, proto.make_loopback(set_b, config, trace), config,
             )
             assert res.a_only | res.b_only == set(elements)
             sim = netsim.run_trial(protocol, tree, sc, collect_log=True)
@@ -264,13 +268,12 @@ def test_conservation_c3_sequential_splits():
         words = _words_for_tree(tree)
         elements = list(range(1, len(words) + 1))
         placement = {e: key_range(sched, w)[0] for e, w in zip(elements, words)}
-        config = proto.ProtocolConfig(2, 1, 16, sched)
+        config = proto.ProtocolConfig(2, 1, 16, sched, placement=placement)
         walker = _tree_counts(tree, 2, 3)
         for protocol, engine in (("psr", proto.psr_reconcile), ("epsr", proto.epsr_reconcile)):
             res, metrics = engine(
                 set(elements[0::2]),
-                proto.make_loopback(set(elements[1::2]), config, placement),
-                config, placement,
+                proto.make_loopback(set(elements[1::2]), config), config,
             )
             assert res.a_only | res.b_only == set(elements)
             sim = netsim.run_trial(protocol, tree, sc)
@@ -397,6 +400,9 @@ def test_scenario_validation():
         netsim.ScenarioConfig(mbar=0)
     with pytest.raises(ValueError):
         netsim.ScenarioConfig(throughput_bps=float("nan"))
+    for key in ("latency_ms", "recovery_ms"):
+        with pytest.raises(ValueError, match="finite"):
+            netsim.ScenarioConfig(**{key: float("inf")})
     with pytest.raises(ValueError):
         netsim.sweep([10], netsim.SCENARIO_PRESETS["I"], [1], ("psr",), seed=0, samples=0)
     with pytest.raises(ValueError):

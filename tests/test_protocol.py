@@ -62,10 +62,10 @@ def _instance(seed, delta, shared_count, bits=32):
     return set(a_only) | shared, set(b_only) | shared, a_only, b_only
 
 
-def _reference_epsr(set_a, transport, config, placement=None):
+def _reference_epsr(set_a, transport, config):
     """The recursive EPSR as first written; the iterative engine must make
     the same requests and recoveries in the same order."""
-    run = proto._Run(set_a, transport, config, placement)
+    run = proto._Run(set_a, transport, config)
     c = config.schedule.c
 
     def process(path, z, skip):
@@ -89,9 +89,9 @@ def _reference_epsr(set_a, transport, config, placement=None):
 def test_respond_examples():
     fx = proto.load_fixture("fig2")
     fp = fx.config.fingerprint()
-    empty = proto.Responder([], fx.config, fx.placement).reply(fp, ())
+    empty = proto.Responder([], fx.config).reply(fp, ())
     assert sk.from_bytes(empty) == sk.new_sketch(fx.config.field_config)
-    responder = proto.Responder(fx.set_b, fx.config, fx.placement)
+    responder = proto.Responder(fx.set_b, fx.config)
     parent = sk.from_bytes(responder.reply(fp, (1,)))
     kids = [sk.from_bytes(responder.reply(fp, (1, j))) for j in (0, 1)]
     q = fx.config.field_config.modulus
@@ -100,8 +100,8 @@ def test_respond_examples():
     )
     assert parent.count == kids[0].count + kids[1].count
     # byte-identical replies across responders
-    r1 = proto.Responder(fx.set_b, fx.config, fx.placement)
-    r2 = proto.Responder(fx.set_b, fx.config, fx.placement)
+    r1 = proto.Responder(fx.set_b, fx.config)
+    r2 = proto.Responder(fx.set_b, fx.config)
     assert r1.reply(fp, (0,)) == r2.reply(fp, (0,))
 
 
@@ -138,14 +138,14 @@ def test_partition_index_sketches_match_members(sched, depth):
         members = _members(index, path)
         assert sorted(members) == sorted(e for e in elements if reference_word(
             sched, Fraction(key_of(e, 5), KEY_SPACE), len(path)) == path)
-        assert index.sketch(path) == sk.sketch_of(cfg.field_config, members)
+        assert index.sketch(*index.span(path)) == sk.sketch_of(cfg.field_config, members)
     # a child index outside the schedule is refused, also once its parent
     # and every real sibling have sketches
     for bad in ((sched.c,), (-1,)):
         with pytest.raises(proto.ProtocolError):
             _members(index, bad)
         with pytest.raises(proto.ProtocolError):
-            index.sketch(bad)
+            index.sketch(*index.span(bad))
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,7 +163,7 @@ def test_partition_index_slices_match_reference_words(schedule, data):
             keys |= {ceil_key(lo) + k for k in (-1, 0, 1)}
     keys = sorted(k for k in keys if 0 <= k < KEY_SPACE)
     cfg = proto.ProtocolConfig(3, 1, 32, schedule)
-    index = proto.PartitionIndex(range(len(keys)), cfg, dict(enumerate(keys)))
+    index = proto.PartitionIndex(range(len(keys)), replace(cfg, placement=dict(enumerate(keys))))
     words = [reference_word(schedule, Fraction(k, KEY_SPACE), depth + 1) for k in keys]
     for d in range(depth + 1):
         for node in [path[:d]] + [path[:d] + (j,) for j in range(schedule.c)]:
@@ -188,7 +188,7 @@ def test_partition_index_inserts_each_element_once(n, monkeypatch):
         paths += [p + (j,) for p in paths if len(p) == d for j in range(2)]
     for path in paths:
         inserted.clear()
-        z = index.sketch(path)
+        z = index.sketch(*index.span(path))
         assert len(inserted) == 1 and len(inserted[0]) < 2 * proto._CHUNK
         assert z == sk.sketch_of(cfg.field_config, _members(index, path))
 
@@ -199,7 +199,8 @@ def test_partition_index_refuses_duplicates():
     cfg = proto.ProtocolConfig(3, 1, 32, fair_probs(2))
     elements = random.Random(1).sample(range(1 << 32), 300)
     with pytest.raises(sk.ElementError, match="duplicate"):
-        proto.PartitionIndex(elements + elements[:1], cfg, dict.fromkeys(elements, 0))
+        proto.PartitionIndex(elements + elements[:1],
+                             replace(cfg, placement=dict.fromkeys(elements, 0)))
 
 
 @pytest.mark.parametrize("sched", [fair_probs(2), round_optimal_probs(4)],
@@ -272,8 +273,7 @@ def test_fig2_golden_with_trace():
     fx = proto.load_fixture("fig2")
     trace = proto.ProtocolTrace()
     res, m = proto.psr_reconcile(
-        fx.set_a, proto.make_loopback(fx.set_b, fx.config, fx.placement, trace),
-        fx.config, fx.placement,
+        fx.set_a, proto.make_loopback(fx.set_b, fx.config, trace), fx.config,
     )
     assert (m.sketches_transmitted, m.recovery_calls, m.rounds) == (11, 11, 4)
     assert m.bits_b_to_a == 11 * sk.wire_cost(2, 1, 16)
@@ -286,8 +286,7 @@ def test_fig3_golden():
     fx = proto.load_fixture("fig3")
     trace = proto.ProtocolTrace()
     res, m = proto.epsr_reconcile(
-        fx.set_a, proto.make_loopback(fx.set_b, fx.config, fx.placement, trace),
-        fx.config, fx.placement,
+        fx.set_a, proto.make_loopback(fx.set_b, fx.config, trace), fx.config,
     )
     assert (m.sketches_transmitted, m.recovery_calls, m.rounds) == (6, 11, 4)
     assert res.a_only | res.b_only == fx.set_a | fx.set_b
@@ -299,8 +298,7 @@ def test_trace_file_roundtrip(tmp_path):
     fx = proto.load_fixture("fig2")
     trace = proto.ProtocolTrace()
     proto.psr_reconcile(
-        fx.set_a, proto.make_loopback(fx.set_b, fx.config, fx.placement, trace),
-        fx.config, fx.placement,
+        fx.set_a, proto.make_loopback(fx.set_b, fx.config, trace), fx.config,
     )
     out = tmp_path / "trace.txt"
     with out.open("w") as fobj:
@@ -324,8 +322,7 @@ def test_fixture_protocol_override():
     # gives the per-partition metrics, and vice versa
     fx = proto.load_fixture("fig3")
     cfg = replace(fx.config, protocol="psr")
-    _, m = proto.reconcile(fx.set_a, proto.make_loopback(fx.set_b, cfg, fx.placement),
-                           cfg, fx.placement)
+    _, m = proto.reconcile(fx.set_a, proto.make_loopback(fx.set_b, cfg), cfg)
     assert (m.sketches_transmitted, m.recovery_calls, m.rounds) == (11, 11, 4)
 
 
@@ -378,9 +375,9 @@ def test_epsr_engine_matches_recursive_reference(schedule, c, monkeypatch):
 def test_depth_guard(engine):
     # a placement that never separates: every element has key 0
     cfg = proto.ProtocolConfig(1, 1, 32, fair_probs(2))
-    placement = dict.fromkeys(range(1, 11), 0)
+    cfg = replace(cfg, placement=dict.fromkeys(range(1, 11), 0))
     with pytest.raises(proto.ProtocolError, match="placement not separating"):
-        engine(set(range(1, 11)), proto.make_loopback(set(), cfg, placement), cfg, placement)
+        engine(set(range(1, 11)), proto.make_loopback(set(), cfg), cfg)
 
 
 @pytest.mark.parametrize("engine", [proto.psr_reconcile, proto.epsr_reconcile],
@@ -471,21 +468,23 @@ def test_recover_checks_membership_and_placement():
     # a recovered piece counts only if it can be the difference at its path
     cfg = proto.ProtocolConfig(3, 1, 32, fair_probs(2))
     placement = {1: 0, 2: KEY_SPACE // 2, 3: KEY_SPACE // 2}  # 1 in (0,), 2 and 3 in (1,)
-    run = proto._Run([1, 2], None, cfg, placement)
+    run = proto._Run([1, 2], None, replace(cfg, placement=placement))
 
-    def diff(a_only, b_only):
+    def recover(path, a_only, b_only):
+        """The run's recovery of this difference as the piece at `path`."""
         field = cfg.field_config
-        return sk.subtract(sk.sketch_of(field, a_only), sk.sketch_of(field, b_only))
+        z = sk.subtract(sk.sketch_of(field, a_only), sk.sketch_of(field, b_only))
+        return run.recover(path, (z, *key_range(cfg.schedule, path)))
 
-    assert not run.recover((0,), diff([2], []))  # A's element outside the partition
-    assert not run.recover((0,), diff([4], []))  # A-only element not in A
-    assert not run.recover((1,), diff([], [2]))  # B-only element in A
-    assert not run.recover((1,), diff([], [5]))  # B-only element with no key
-    assert not run.recover((0,), diff([], [3]))  # B-only element outside the partition
+    assert not recover((0,), [2], [])  # A's element outside the partition
+    assert not recover((0,), [4], [])  # A-only element not in A
+    assert not recover((1,), [], [2])  # B-only element in A
+    assert not recover((1,), [], [5])  # B-only element with no key
+    assert not recover((0,), [], [3])  # B-only element outside the partition
     assert run.a_only == run.b_only == set()
-    assert run.recover((1,), diff([2], [3]))
+    assert recover((1,), [2], [3])
     assert run.a_only == {2} and run.b_only == {3}
-    assert not run.recover((1,), diff([], [3]))  # B-only element merged already
+    assert not recover((1,), [], [3])  # B-only element merged already
     assert run.a_only == {2} and run.b_only == {3}
 
 
@@ -494,18 +493,41 @@ def test_residual_recovery_covers_unsent_children():
     # residual, which holds only the keys of child (1,)
     cfg = proto.ProtocolConfig(3, 1, 32, fair_probs(2))
     placement = {1: 0, 2: KEY_SPACE // 2, 3: KEY_SPACE // 2, 4: 1}  # 1, 4 in (0,)
-    run = proto._Run([1, 2], proto.make_loopback([2, 3, 4], cfg, placement), cfg, placement)
-    run.fetch((0,), None)
+    cfg = replace(cfg, placement=placement)
+    run = proto._Run([1, 2], proto.make_loopback([2, 3, 4], cfg), cfg)
+    root = run.fetch((), None)
+    residual = run.subtract(root, run.fetch((0,), root))
 
-    def diff(a_only, b_only):
+    def recover(a_only, b_only):
+        """The run's recovery of this difference as the root's residual."""
         field = cfg.field_config
-        return sk.subtract(sk.sketch_of(field, a_only), sk.sketch_of(field, b_only))
+        z = sk.subtract(sk.sketch_of(field, a_only), sk.sketch_of(field, b_only))
+        return run.recover((), (z, *residual[1:]))
 
-    assert not run.recover((), diff([1], []))  # A's element of the requested child
-    assert not run.recover((), diff([], [4]))  # B-only key in the requested child
+    assert not recover([1], [])  # A's element of the requested child
+    assert not recover([], [4])  # B-only key in the requested child
     assert run.a_only == run.b_only == set()
-    assert run.recover((), diff([2], [3]))
+    assert recover([2], [3])
     assert run.a_only == {2} and run.b_only == {3}
+
+
+@pytest.mark.parametrize("c", [2, 4])
+@pytest.mark.parametrize("engine", [proto.psr_reconcile, proto.epsr_reconcile],
+                         ids=["psr", "epsr"])
+def test_each_party_resolves_a_sent_key_range_once(engine, c, monkeypatch):
+    # A resolves a path's keys when it fetches it and B when it first serves
+    # it; a residual takes its keys from its pieces, not from the root
+    calls = []
+    real_key_range = proto.key_range
+    monkeypatch.setattr(proto, "key_range",
+                        lambda *args: calls.append(args) or real_key_range(*args))
+    pool = random.Random(c).sample(range(1 << 32), 260)
+    a_only, b_only, shared = set(pool[:30]), set(pool[30:60]), set(pool[60:])
+    cfg = proto.ProtocolConfig(5, 1, 32, fair_probs(c), hash_seed=c)
+    res, m = engine(a_only | shared, proto.make_loopback(b_only | shared, cfg), cfg)
+    assert res.a_only == a_only and res.b_only == b_only
+    # one call per party per transmitted sketch, plus one per index built
+    assert len(calls) == 2 * m.sketches_transmitted + 2
 
 
 def test_same_partitions_split():
@@ -622,14 +644,14 @@ def test_table_placement_errors():
     placement = {1: key_range(cfg.schedule, (0, 1))[0], 2: key_range(cfg.schedule, (0,))[0]}
     # an element with no key is refused when the index is built
     with pytest.raises(proto.ProtocolError, match="no placement for element 3"):
-        proto.PartitionIndex([1, 3], cfg, placement)
+        proto.PartitionIndex([1, 3], replace(cfg, placement=placement))
     # so is a key outside the 64-bit key space
     for key in (-1, KEY_SPACE):
         with pytest.raises(proto.ProtocolError, match="outside"):
-            proto.PartitionIndex([1, 2], cfg, {1: 0, 2: key})
-    index = proto.PartitionIndex([1, 2], cfg, placement)
+            proto.PartitionIndex([1, 2], replace(cfg, placement={1: 0, 2: key}))
+    index = proto.PartitionIndex([1, 2], replace(cfg, placement=placement))
     assert _members(index, (0,)) == [2, 1] and _members(index, (1,)) == []
-    assert _members(proto.PartitionIndex([1], cfg, placement), (0, 1)) == [1]
+    assert _members(proto.PartitionIndex([1], replace(cfg, placement=placement)), (0, 1)) == [1]
 
 
 def test_unknown_fixture():
