@@ -322,7 +322,7 @@ CRITERIA = (
 )
 
 
-def run_criteria(numbers=None, out=print) -> list[CriterionResult]:
+def run_criteria(numbers=None) -> list[CriterionResult]:
     """Run the selected criteria (all by default), printing one line each.
     A number with no criterion raises `ValueError` before any runs."""
     known = {n for n, _, _ in CRITERIA}
@@ -338,6 +338,5 @@ def run_criteria(numbers=None, out=print) -> list[CriterionResult]:
         results.append(
             CriterionResult(number, name, passed, detail, time.perf_counter() - start)
         )
-        if out is not None:
-            out(results[-1].line())
+        print(results[-1].line())
     return results

@@ -215,16 +215,7 @@ def cmd_verify(args) -> int:
     numbers = _parse_int_list(args.criteria) if args.criteria else None
     results = acceptance.run_criteria(numbers)
     if args.out:
-        payload = [
-            {
-                "number": r.number,
-                "name": r.name,
-                "passed": r.passed,
-                "detail": r.detail,
-                "seconds": round(r.seconds, 2),
-            }
-            for r in results
-        ]
+        payload = [asdict(r) | {"seconds": round(r.seconds, 2)} for r in results]
         Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0 if all(r.passed for r in results) else 3
 

@@ -54,7 +54,7 @@ class ProtocolError(Exception):
 class ProtocolConfig:
     """Parameters shared by both parties of a reconciliation.  `placement`
     maps each element to its 64-bit key; None means `key_of(element,
-    hash_seed)`.  The fingerprint leaves the placement out."""
+    hash_seed)`."""
 
     mbar: int
     gamma: int
@@ -67,22 +67,18 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.protocol not in ENGINES:
             raise ValueError("protocol must be 'psr' or 'epsr'")
+        self.field_config  # raises ConfigError for invalid field parameters
 
     @property
     def field_config(self) -> sk.FieldConfig:
         return sk.field_setup(self.element_bits, self.mbar, self.gamma)
 
     def fingerprint(self) -> str:
-        text = "|".join(
-            [
-                str(self.element_bits),
-                str(self.mbar),
-                str(self.gamma),
-                str(self.hash_seed),
-                ",".join(str(p) for p in self.schedule.probs),
-            ]
-        )
-        return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
+        """A digest of every field the parties share: all but `protocol`."""
+        placement = None if self.placement is None else sorted(self.placement.items())
+        shared = (self.element_bits, self.mbar, self.gamma, self.hash_seed,
+                  self.schedule.probs, placement)
+        return hashlib.blake2b(repr(shared).encode(), digest_size=8).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -263,11 +259,9 @@ class _Run(RunCounters):
         za = self.index.sketch(first, end)
         blob = self.transport.request(self.fingerprint, path)
         try:
-            zb = sk.from_bytes(blob)
+            zb = sk.from_bytes(blob, self.field)
         except ValueError as exc:
             raise ProtocolError(f"malformed reply for path {path}: {exc}") from exc
-        if zb.config != self.field:
-            raise ProtocolError("reply sketch configuration mismatch")
         self.tx += 1
         self.max_tx_depth = max(self.max_tx_depth, len(path))
         return sk.subtract(za, zb), first, end

@@ -69,8 +69,7 @@ class FieldConfig:
 @lru_cache(maxsize=None)
 def field_setup(element_bits: int, mbar: int, gamma: int) -> FieldConfig:
     """Build the unique FieldConfig for the given parameters."""
-    if element_bits < 1 or mbar < 1 or gamma < 0:
-        raise ConfigError("need element_bits >= 1, mbar >= 1, gamma >= 0")
+    wire_cost(mbar, gamma, element_bits)  # refuses parameters below their lower bounds
     if element_bits > 0xFFFF or mbar > 0xFFFF or gamma > 0xFFFF:
         raise ConfigError("parameters exceed the 16-bit wire header")
     n = mbar + gamma + 1
@@ -262,25 +261,29 @@ def to_bytes(sk: SRSketch) -> bytes:
     return bytes(out)
 
 
-def from_bytes(data: bytes) -> SRSketch:
+def from_bytes(data: bytes, config: FieldConfig) -> SRSketch:
+    """The sketch over `config` that `data` serializes.  A header naming other
+    parameters is malformed like any other blob: no field is built from it."""
     if len(data) < _HEADER.size:
         raise ValueError("sketch blob too short")
     bits, mbar, gamma, count = _HEADER.unpack_from(data)
-    cfg = field_setup(bits, mbar, gamma)
-    vb = cfg.value_bytes
-    expected = _HEADER.size + cfg.n_points * vb
+    if (bits, mbar, gamma) != (config.element_bits, config.mbar, config.gamma):
+        raise ValueError(f"sketch header ({bits}, {mbar}, {gamma}) is not the field's "
+                         f"({config.element_bits}, {config.mbar}, {config.gamma})")
+    vb = config.value_bytes
+    expected = _HEADER.size + config.n_points * vb
     if len(data) != expected:
         raise ValueError(f"sketch blob length {len(data)}, expected {expected}")
     vals = []
-    for i in range(cfg.n_points):
+    for i in range(config.n_points):
         off = _HEADER.size + i * vb
         v = int.from_bytes(data[off:off + vb], "little")
         # No honest sketch holds 0: evaluation points lie outside the
         # universe, so every value is a product or ratio of nonzero ones.
-        if not 0 < v < cfg.modulus:
+        if not 0 < v < config.modulus:
             raise ValueError("sketch value zero or outside the field")
         vals.append(v)
-    return SRSketch(cfg, tuple(vals), count)
+    return SRSketch(config, tuple(vals), count)
 
 
 def _content_digest(sk: SRSketch) -> bytes:

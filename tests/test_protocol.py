@@ -1,4 +1,5 @@
 import random
+import struct
 from dataclasses import replace
 
 import pytest
@@ -15,7 +16,9 @@ from test_partition import (
     reference_interval,
     reference_word,
 )
+from test_sketch import no_field
 
+from setrecon import fieldmath as fm
 from setrecon import protocol as proto
 from setrecon import sketch as sk
 from setrecon.partition import (
@@ -90,10 +93,10 @@ def test_respond_examples():
     fx = proto.load_fixture("fig2")
     fp = fx.config.fingerprint()
     empty = proto.Responder([], fx.config).reply(fp, ())
-    assert sk.from_bytes(empty) == sk.new_sketch(fx.config.field_config)
+    assert sk.from_bytes(empty, fx.config.field_config) == sk.new_sketch(fx.config.field_config)
     responder = proto.Responder(fx.set_b, fx.config)
-    parent = sk.from_bytes(responder.reply(fp, (1,)))
-    kids = [sk.from_bytes(responder.reply(fp, (1, j))) for j in (0, 1)]
+    parent = sk.from_bytes(responder.reply(fp, (1,)), fx.config.field_config)
+    kids = [sk.from_bytes(responder.reply(fp, (1, j)), fx.config.field_config) for j in (0, 1)]
     q = fx.config.field_config.modulus
     assert parent.values == tuple(
         a * b % q for a, b in zip(kids[0].values, kids[1].values)
@@ -627,6 +630,49 @@ def test_fingerprint_mismatch():
         proto.psr_reconcile({1, 2, 3}, transport, cfg_a)
 
 
+def test_placement_mismatch_refused_at_first_request():
+    # B hashes its elements, A places them by the fixture's path words: the
+    # root request is refused, before any sketch is sent
+    fx = proto.load_fixture("fig2")
+    trace = proto.ProtocolTrace()
+    transport = proto.make_loopback(fx.set_b, replace(fx.config, placement=None), trace)
+    with pytest.raises(proto.ProtocolError, match="fingerprint"):
+        proto.psr_reconcile(fx.set_a, transport, fx.config)
+    assert trace.lines() == ["a_to_b,1,-,0"]
+
+
+def test_fingerprint_covers_every_shared_field():
+    base = proto.load_fixture("fig2").config
+    one_field_off = [
+        replace(base, element_bits=17),
+        replace(base, mbar=3),
+        replace(base, gamma=2),
+        replace(base, hash_seed=1),
+        replace(base, schedule=schedule_from_strings(["1/3", "2/3"])),
+        replace(base, placement=None),
+        replace(base, placement={**base.placement, 9: 0}),
+    ]
+    prints = [cfg.fingerprint() for cfg in [base, *one_field_off]]
+    assert len(set(prints)) == len(prints)
+    # the protocol is each party's own choice, and a placement is a mapping
+    assert replace(base, protocol="epsr").fingerprint() == base.fingerprint()
+    reordered = dict(reversed(list(base.placement.items())))
+    assert replace(base, placement=reordered).fingerprint() == base.fingerprint()
+
+
+def test_reply_header_builds_no_field(monkeypatch):
+    # a 10-byte reply naming 65535-bit elements is refused by its header,
+    # without a search for a 65535-bit prime
+    class WideHeader:
+        def request(self, fingerprint, path):
+            return struct.pack("<HHHi", 0xFFFF, 3, 2, 0)
+
+    run = proto._Run({1, 2, 3}, WideHeader(), proto.ProtocolConfig(3, 2, 32, fair_probs(2)))
+    monkeypatch.setattr(fm, "next_prime", no_field)
+    with pytest.raises(proto.ProtocolError, match="header"):
+        run.fetch((), None)
+
+
 def test_wrong_config_reply_rejected():
     cfg = proto.ProtocolConfig(3, 2, 32, fair_probs(2), hash_seed=1)
     other = sk.field_setup(32, 4, 2)
@@ -662,3 +708,7 @@ def test_unknown_fixture():
 def test_config_validation():
     with pytest.raises(ValueError):
         proto.ProtocolConfig(3, 2, 32, fair_probs(2), protocol="fast")
+    # field parameters are checked when the config is made, not at first use
+    for mbar, gamma, bits in ((0, 1, 32), (3, -1, 32), (3, 1, 0), (3, 1, 70000)):
+        with pytest.raises(sk.ConfigError):
+            proto.ProtocolConfig(mbar, gamma, bits, fair_probs(2))

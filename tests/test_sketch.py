@@ -346,17 +346,48 @@ def test_large_field_setup():
 def test_serialization_roundtrip(cfg4):
     z = sk.sketch_of(cfg4, [3, 5, 9])
     blob = sk.to_bytes(z)
-    assert sk.from_bytes(blob) == z
+    assert sk.from_bytes(blob, cfg4) == z
     assert len(blob) == 10 + 4 * cfg4.value_bytes
     with pytest.raises(ValueError):
-        sk.from_bytes(blob[:-1])
+        sk.from_bytes(blob[:-1], cfg4)
     with pytest.raises(ValueError):
-        sk.from_bytes(b"\x00" * 4)
+        sk.from_bytes(b"\x00" * 4, cfg4)
     # value outside the field
     bad = bytearray(blob)
     bad[10:10 + cfg4.value_bytes] = cfg4.modulus.to_bytes(cfg4.value_bytes, "little")
     with pytest.raises(ValueError):
-        sk.from_bytes(bytes(bad))
+        sk.from_bytes(bytes(bad), cfg4)
+
+
+_CFG4 = sk.field_setup(4, 2, 1)
+_BLOB4 = sk.to_bytes(sk.sketch_of(_CFG4, [3, 5, 9]))
+
+
+def no_field(n):
+    """A stand-in for `fm.next_prime` in checks that no field is built."""
+    raise AssertionError(f"a field was built: next_prime of {n.bit_length()} bits")
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.one_of(
+    st.binary(max_size=64),
+    st.binary(max_size=8).map(lambda tail: _BLOB4[:10] + tail),
+    st.tuples(st.integers(0, len(_BLOB4) - 1), st.integers(0, 255)).map(
+        lambda ib: _BLOB4[:ib[0]] + bytes([ib[1]]) + _BLOB4[ib[0] + 1:]),
+))
+def test_from_bytes_reads_against_the_given_field(blob):
+    # any bytes either decode to a sketch over the caller's field or raise
+    # ValueError; no field is built from a header, nor cached
+    cached = sk.field_setup.cache_info().currsize
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fm, "next_prime", no_field)
+        try:
+            z = sk.from_bytes(blob, _CFG4)
+        except ValueError:
+            z = None
+    assert sk.field_setup.cache_info().currsize == cached
+    if z is not None:
+        assert z.config == _CFG4 and sk.to_bytes(z) == blob
 
 
 def test_recover_deterministic(cfg4):
