@@ -36,7 +36,6 @@ from .protocol import (
     LoopbackTransport,
     ProtocolConfig,
     ProtocolError,
-    ProtocolTrace,
     ReconcileMetrics,
     ReconcileResult,
     Responder,

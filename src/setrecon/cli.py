@@ -31,7 +31,6 @@ from .partition import (
 )
 from .protocol import (
     ProtocolConfig,
-    ProtocolTrace,
     load_fixture,
     make_loopback,
     reconcile,
@@ -166,11 +165,11 @@ def cmd_reconcile(args) -> int:
             args.mbar, args.gamma, args.bits, schedule,
             hash_seed=args.seed, protocol=protocol,
         )
-    trace = ProtocolTrace() if args.trace else None
+    trace = [] if args.trace else None
     result, metrics = reconcile(set_a, make_loopback(set_b, config, trace), config)
     if trace is not None:
         with open(args.trace, "w", encoding="utf-8") as fobj:
-            trace.write(fobj)
+            fobj.writelines(line + "\n" for line in trace)
     payload = {
         "protocol": config.protocol,
         "fixture": args.fixture,

@@ -160,11 +160,9 @@ def sample_placement_tree(delta: int, mbar: int, schedule: PartitionSchedule,
 
 @dataclass(frozen=True)
 class TrialResult(ReconcileMetrics):
-    """A simulated run's metrics, when its last recovery finished and, if
-    collected, its event log."""
+    """A simulated run's metrics and when its last recovery finished."""
 
     total_ms: float
-    log: list[tuple[int, str, str]] | None = None
 
 
 class _Piece:
@@ -180,19 +178,19 @@ class _Piece:
 
 class _TreeRun(RunCounters):
     """A protocol engine's run on a placement tree.  Each fetch and each
-    recovery is recorded as an action (is_fetch, log label, actions it
-    issues) under the action whose completion issues it."""
+    recovery is recorded as an action (is_fetch, log label if `labelled`,
+    actions it issues) under the action whose completion issues it."""
 
-    def __init__(self, tree: PlacementNode, mbar: int, collect_log: bool):
+    def __init__(self, tree: PlacementNode, mbar: int, labelled: bool):
         super().__init__()
         self.mbar = mbar
-        self.collect_log = collect_log
+        self.labelled = labelled
         # stands before the root: its "recovery" issues the root fetch at time 0
         self.origin = _Piece(tree, 0, tree.count, None)
         self.origin.recovery = (False, None, [])
 
     def _record(self, cause, is_fetch: bool, path) -> tuple:
-        label = (".".join(map(str, path)) or "-") if self.collect_log else None
+        label = (".".join(map(str, path)) or "-") if self.labelled else None
         action = (is_fetch, label, [])
         cause[2].append(action)
         return action
@@ -248,20 +246,21 @@ def _clock(start, sc: ScenarioConfig, log: list | None) -> int:
 
 
 def run_trial(protocol: str, tree: PlacementNode, scenario: ScenarioConfig,
-              collect_log: bool = False) -> TrialResult:
+              log: list | None = None) -> TrialResult:
     """Simulate one full reconciliation: runs the protocol's engine on the
     tree and times the actions it takes.  Returns the completion time of
-    the last recovery along with the communication counters."""
+    the last recovery along with the communication counters.  Given a
+    `log` list, appends the trial's events (time in ns, event, path label)
+    to it in time order; ties keep their issue order."""
     if protocol not in ENGINES:
         raise ValueError("protocol must be 'psr' or 'epsr'")
-    run = _TreeRun(tree, scenario.mbar, collect_log)
+    run = _TreeRun(tree, scenario.mbar, log is not None)
     ENGINES[protocol](run, scenario.schedule.c)
-    log = [] if collect_log else None
-    finished = _clock(run.origin.recovery, scenario, log)
+    events = None if log is None else []
+    finished = _clock(run.origin.recovery, scenario, events)
     if log is not None:
-        log.sort(key=lambda record: record[0])  # stable: ties keep issue order
-    return run.metrics(scenario.sketch_bits, TrialResult,
-                       total_ms=finished / _NS_PER_MS, log=log)
+        log += sorted(events, key=lambda event: event[0])  # stable: ties keep issue order
+    return run.metrics(scenario.sketch_bits, TrialResult, total_ms=finished / _NS_PER_MS)
 
 
 def sweep(deltas, scenario: ScenarioConfig, cores_list, protocols, seed: int, samples: int):

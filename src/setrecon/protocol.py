@@ -169,73 +169,47 @@ class PartitionIndex:
         return sk.sketch_of(self._field, self._elements[lo:hi])
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    direction: str  # "a_to_b" | "b_to_a"
-    round: int
-    path: tuple[int, ...]
-    nbytes: int
-
-    def line(self) -> str:
-        path = ".".join(str(j) for j in self.path) if self.path else "-"
-        return f"{self.direction},{self.round},{path},{self.nbytes}"
-
-
-@dataclass
-class ProtocolTrace:
-    """Wire-level record of one reconciliation, one line per message."""
-
-    records: list[TraceRecord] = field(default_factory=list)
-
-    def add(self, direction: str, path, nbytes: int) -> None:
-        self.records.append(TraceRecord(direction, len(path) + 1, tuple(path), nbytes))
-
-    def lines(self) -> list[str]:
-        return [r.line() for r in self.records]
-
-    def write(self, fobj) -> None:
-        for line in self.lines():
-            fobj.write(line + "\n")
-
-
 class Responder:
     """B-side request handler serving serialized partition sketches.  B's
-    set is fixed, so each path's sketch is made once and kept for later
-    clients: one sketch per distinct path requested."""
+    set is fixed, so each path's reply is made once and kept, as the bytes
+    it sends, for later clients: one sketch per distinct path requested."""
 
     def __init__(self, set_b, config: ProtocolConfig):
         self._fingerprint = config.fingerprint()
         self._index = PartitionIndex(set_b, config)
-        self._sketches: dict[tuple[int, ...], sk.SRSketch] = {}
+        self._replies: dict[tuple[int, ...], bytes] = {}
 
     def reply(self, fingerprint: str, path: tuple[int, ...]) -> bytes:
         if fingerprint != self._fingerprint:
             raise ProtocolError("request fingerprint does not match responder config")
-        z = self._sketches.get(path)
-        if z is None:
-            z = self._sketches[path] = self._index.sketch(*self._index.span(path))
-        return sk.to_bytes(z)
+        blob = self._replies.get(path)
+        if blob is None:
+            blob = self._replies[path] = sk.to_bytes(self._index.sketch(*self._index.span(path)))
+        return blob
 
 
 class LoopbackTransport:
-    """In-process transport wiring A directly to a Responder, optionally
-    recording every message into a ProtocolTrace."""
+    """In-process transport wiring A directly to a Responder.  Given a
+    `trace` list, it appends one line "direction,round,path,bytes" per
+    message; the request's line comes before the reply is made, so a
+    refused request leaves it too."""
 
-    def __init__(self, responder: Responder, trace: ProtocolTrace | None = None):
+    def __init__(self, responder: Responder, trace: list[str] | None = None):
         self._responder = responder
-        self.trace = trace
+        self._trace = trace
 
     def request(self, fingerprint: str, path: tuple[int, ...]) -> bytes:
-        if self.trace is not None:
-            self.trace.add("a_to_b", path, 0)
+        if self._trace is not None:
+            where = f"{len(path) + 1},{'.'.join(map(str, path)) or '-'}"
+            self._trace.append(f"a_to_b,{where},0")
         blob = self._responder.reply(fingerprint, path)
-        if self.trace is not None:
-            self.trace.add("b_to_a", path, len(blob))
+        if self._trace is not None:
+            self._trace.append(f"b_to_a,{where},{len(blob)}")
         return blob
 
 
 def make_loopback(set_b, config: ProtocolConfig,
-                  trace: ProtocolTrace | None = None) -> LoopbackTransport:
+                  trace: list[str] | None = None) -> LoopbackTransport:
     return LoopbackTransport(Responder(set_b, config), trace)
 
 

@@ -96,7 +96,7 @@ def test_every_export_has_a_caller_in_the_package():
 
 def test_every_public_member_has_a_caller_in_the_package():
     members = _public_members()
-    assert "ProtocolTrace.lines" in members  # the scan found methods
+    assert "Responder.reply" in members  # the scan found methods
     assert "FieldConfig.n_points" in members  # and properties
     used = _used_names()
     unused = [m for m in members if m.split(".")[1] not in used]

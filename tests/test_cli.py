@@ -211,7 +211,7 @@ def test_netsim_unknown_scenario(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     "analyze --mbar 0", "analyze --gamma -1", "analyze --delta-max -1", "mc --mbar 0",
     "reconcile --mbar 0", "reconcile --gamma -1", "reconcile --c 1",
-    "reconcile --delta -1", "reconcile --shared -1",
+    "reconcile --delta -1", "reconcile --shared -1", "reconcile --bits 1025",
     "netsim --samples 0", "netsim --cores 0",
     "verify --criteria 10", "verify --criteria 0,9",
 ])

@@ -91,21 +91,23 @@ def test_deterministic_event_logs():
     rng = np.random.default_rng(3)
     tree = netsim.sample_placement_tree(400, 50, fair_probs(2), rng)
     sc = netsim.SCENARIO_PRESETS["I"]
-    r1 = netsim.run_trial("epsr", tree, sc, collect_log=True)
-    r2 = netsim.run_trial("epsr", tree, sc, collect_log=True)
-    assert r1.log == r2.log and r1.total_ms == r2.total_ms
+    log1, log2 = [], []
+    r1 = netsim.run_trial("epsr", tree, sc, log1)
+    r2 = netsim.run_trial("epsr", tree, sc, log2)
+    assert log1 == log2 and r1.total_ms == r2.total_ms
     assert (netsim.sweep([200], sc, [1], ("psr",), 7, 100)
             == netsim.sweep([200], sc, [1], ("psr",), 7, 100))
     # log is globally time ordered; FIFO disciplines are visible in it
-    times = [t for t, _, _ in r1.log]
+    times = [t for t, _, _ in log1]
     assert times == sorted(times)
-    enq = [p for _, ev, p in r1.log if ev == "reply_enqueued"]
-    delivered = [p for _, ev, p in r1.log if ev == "reply_delivered"]
+    enq = [p for _, ev, p in log1 if ev == "reply_enqueued"]
+    delivered = [p for _, ev, p in log1 if ev == "reply_delivered"]
     assert enq == delivered  # link departures keep arrival order
     # per-partition causal chains (PSR: one request and one recovery each)
-    psr = netsim.run_trial("psr", tree, sc, collect_log=True)
+    psr_log = []
+    netsim.run_trial("psr", tree, sc, psr_log)
     chains = {}
-    for t, ev, p in psr.log:
+    for t, ev, p in psr_log:
         chains.setdefault(p, []).append((ev, t))
     order = ("request_sent", "reply_enqueued", "reply_delivered",
              "recovery_started", "recovery_finished")
@@ -116,10 +118,10 @@ def test_deterministic_event_logs():
 
 
 def test_event_log_dump(tmp_path):
-    r = netsim.run_trial("psr", netsim.PlacementNode(1),
-                         netsim.SCENARIO_PRESETS["I"], collect_log=True)
-    assert r.log[0] == (0, "request_sent", "-")
-    assert r.log[-1] == (round(32.43363 * 1e6), "recovery_finished", "-")
+    log = []
+    netsim.run_trial("psr", netsim.PlacementNode(1), netsim.SCENARIO_PRESETS["I"], log)
+    assert log[0] == (0, "request_sent", "-")
+    assert log[-1] == (round(32.43363 * 1e6), "recovery_finished", "-")
 
 
 def test_preset_values_exact():
@@ -202,7 +204,7 @@ def test_hand_computed_fifo_timings():
     )
     assert sc.serialization_ns == 100_000_000
     tree = netsim.PlacementNode(4, (netsim.PlacementNode(2), netsim.PlacementNode(2)))
-    psr = netsim.run_trial("psr", tree, sc, collect_log=True)
+    psr = netsim.run_trial("psr", tree, sc, [])
     # root: req 0, at B 10, link 10-110, arrive 120, recovery 120-125 fails;
     # children requested at 125, at B 135; replies serialize back to back:
     # arrive 245 and 345; recoveries 245-250 and 345-350.
@@ -231,12 +233,13 @@ def test_conservation_and_equivalence_with_protocol_engines():
         config = proto.ProtocolConfig(2, 1, 16, fair_probs(2), placement=placement)
         walker = _tree_counts(tree, 2, 2)
         for protocol, engine in (("psr", proto.psr_reconcile), ("epsr", proto.epsr_reconcile)):
-            trace = proto.ProtocolTrace()
+            trace = []
             res, metrics = engine(
                 set_a, proto.make_loopback(set_b, config, trace), config,
             )
             assert res.a_only | res.b_only == set(elements)
-            sim = netsim.run_trial(protocol, tree, sc, collect_log=True)
+            sim_log = []
+            sim = netsim.run_trial(protocol, tree, sc, sim_log)
             assert sim.sketches_transmitted == metrics.sketches_transmitted
             assert sim.recovery_calls == metrics.recovery_calls
             assert sim.rounds == metrics.rounds
@@ -244,7 +247,7 @@ def test_conservation_and_equivalence_with_protocol_engines():
             # identical request sets, each partition requested exactly once
             sim_paths = sorted(
                 tuple(int(x) for x in p.split(".")) if p != "-" else ()
-                for _, ev, p in sim.log if ev == "request_sent"
+                for _, ev, p in sim_log if ev == "request_sent"
             )
             assert sim_paths == sorted(transmitted_paths(trace))
             # walker agreement
@@ -384,10 +387,11 @@ def test_run_trial_digest():
                         sc = replace(netsim.SCENARIO_PRESETS[name], mbar=mbar,
                                      schedule=sched, n_cores=cores)
                         for protocol in ("psr", "epsr"):
-                            r = netsim.run_trial(protocol, tree, sc, collect_log=True)
+                            log = []
+                            r = netsim.run_trial(protocol, tree, sc, log)
                             digest.update(repr((r.total_ms, r.sketches_transmitted,
                                                 r.recovery_calls, r.bits_b_to_a,
-                                                r.rounds, r.log)).encode())
+                                                r.rounds, log)).encode())
     assert digest.hexdigest() == RUN_TRIAL_DIGEST
 
 

@@ -47,8 +47,10 @@ FIG3_TX_PATHS = [(), (0,), (0, 0), (0, 1, 0), (1, 0), (1, 1, 0)]
 
 
 def transmitted_paths(trace):
-    """Paths of the sketches B sent, in order."""
-    return [r.path for r in trace.records if r.direction == "b_to_a"]
+    """Paths of the sketches B sent, in order, read from the trace lines."""
+    return [tuple(map(int, path.split("."))) if path != "-" else ()
+            for direction, _, path, _ in (line.split(",") for line in trace)
+            if direction == "b_to_a"]
 
 
 def _instance(seed, delta, shared_count, bits=32):
@@ -235,6 +237,7 @@ def test_responder_reuse_across_clients(sched, monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(sk, "sketch_of", None)
                 m.setattr(sk, "subtract", None)
+                m.setattr(sk, "to_bytes", None)
                 return super().request(fingerprint, path)
 
     for name, engine in (("psr", proto.psr_reconcile), ("epsr", proto.epsr_reconcile)):
@@ -274,20 +277,20 @@ def test_malformed_reply_rejected(engine, case, match):
 
 def test_fig2_golden_with_trace():
     fx = proto.load_fixture("fig2")
-    trace = proto.ProtocolTrace()
+    trace = []
     res, m = proto.psr_reconcile(
         fx.set_a, proto.make_loopback(fx.set_b, fx.config, trace), fx.config,
     )
     assert (m.sketches_transmitted, m.recovery_calls, m.rounds) == (11, 11, 4)
     assert m.bits_b_to_a == 11 * sk.wire_cost(2, 1, 16)
     assert res.a_only == fx.set_a and res.b_only == fx.set_b
-    assert trace.lines() == FIG2_TRACE
+    assert trace == FIG2_TRACE
     assert 1 + max(len(p) for p in transmitted_paths(trace)) == m.rounds
 
 
 def test_fig3_golden():
     fx = proto.load_fixture("fig3")
-    trace = proto.ProtocolTrace()
+    trace = []
     res, m = proto.epsr_reconcile(
         fx.set_a, proto.make_loopback(fx.set_b, fx.config, trace), fx.config,
     )
@@ -297,23 +300,11 @@ def test_fig3_golden():
     assert 1 + max(len(p) for p in transmitted_paths(trace)) == m.rounds
 
 
-def test_trace_file_roundtrip(tmp_path):
-    fx = proto.load_fixture("fig2")
-    trace = proto.ProtocolTrace()
-    proto.psr_reconcile(
-        fx.set_a, proto.make_loopback(fx.set_b, fx.config, trace), fx.config,
-    )
-    out = tmp_path / "trace.txt"
-    with out.open("w") as fobj:
-        trace.write(fobj)
-    assert out.read_text().splitlines() == FIG2_TRACE
-
-
 def test_equal_sets_single_round():
     cfg = proto.ProtocolConfig(3, 2, 32, fair_probs(2), hash_seed=1)
     s = set(range(500, 560))
     for engine in (proto.psr_reconcile, proto.epsr_reconcile):
-        trace = proto.ProtocolTrace()
+        trace = []
         res, m = engine(s, proto.make_loopback(s, cfg, trace=trace), cfg)
         assert (m.sketches_transmitted, m.recovery_calls, m.rounds) == (1, 1, 1)
         assert not res.a_only and not res.b_only
@@ -365,10 +356,10 @@ def test_epsr_engine_matches_recursive_reference(schedule, c, monkeypatch):
         cfg = proto.ProtocolConfig(3, 1, 32, schedule(c), hash_seed=seed, protocol="epsr")
         runs = []
         for engine in (proto.epsr_reconcile, _reference_epsr):
-            trace = proto.ProtocolTrace()
+            trace = []
             recovered.clear()
             out = engine(set_a, proto.make_loopback(set_b, cfg, trace=trace), cfg)
-            runs.append((out, trace.lines(), list(recovered)))
+            runs.append((out, trace, list(recovered)))
         assert runs[0] == runs[1]
         assert runs[0][0][0].a_only == a_only and runs[0][0][0].b_only == b_only
 
@@ -538,7 +529,7 @@ def test_same_partitions_split():
     cfg = proto.ProtocolConfig(3, 2, 32, fair_probs(2), hash_seed=4)
     traces = {}
     for name, engine in (("psr", proto.psr_reconcile), ("epsr", proto.epsr_reconcile)):
-        trace = proto.ProtocolTrace()
+        trace = []
         engine(set_a, proto.make_loopback(set_b, cfg, trace=trace), cfg)
         paths = transmitted_paths(trace)
         traces[name] = {p[:-1] for p in paths if p}  # parents of requests = splits
@@ -634,11 +625,11 @@ def test_placement_mismatch_refused_at_first_request():
     # B hashes its elements, A places them by the fixture's path words: the
     # root request is refused, before any sketch is sent
     fx = proto.load_fixture("fig2")
-    trace = proto.ProtocolTrace()
+    trace = []
     transport = proto.make_loopback(fx.set_b, replace(fx.config, placement=None), trace)
     with pytest.raises(proto.ProtocolError, match="fingerprint"):
         proto.psr_reconcile(fx.set_a, transport, fx.config)
-    assert trace.lines() == ["a_to_b,1,-,0"]
+    assert trace == ["a_to_b,1,-,0"]
 
 
 def test_fingerprint_covers_every_shared_field():
@@ -705,10 +696,12 @@ def test_unknown_fixture():
         proto.load_fixture("fig9")
 
 
-def test_config_validation():
+def test_config_validation(monkeypatch):
     with pytest.raises(ValueError):
         proto.ProtocolConfig(3, 2, 32, fair_probs(2), protocol="fast")
-    # field parameters are checked when the config is made, not at first use
-    for mbar, gamma, bits in ((0, 1, 32), (3, -1, 32), (3, 1, 0), (3, 1, 70000)):
+    # field parameters are checked when the config is made, not at first use,
+    # and a width above the cap is refused before any prime search
+    monkeypatch.setattr(fm, "next_prime", no_field)
+    for mbar, gamma, bits in ((0, 1, 32), (3, -1, 32), (3, 1, 0), (3, 1, 70000), (3, 1, 1025)):
         with pytest.raises(sk.ConfigError):
             proto.ProtocolConfig(mbar, gamma, bits, fair_probs(2))
