@@ -269,7 +269,15 @@ def criterion_7_end_to_end() -> tuple[bool, str]:
 
 
 def criterion_8_netsim_scenarios() -> tuple[bool, str]:
-    """Scenario-level time ratios at delta=1000, 100 samples."""
+    """Scenario-level time ratios at delta=1000, 100 samples.
+
+    Scenario I's 2->4 core-doubling ratio misses its [1.7, 2.1] bound at
+    1.527, because of a latency floor: each of the trees' ~6 levels waits
+    two one-way latencies (20 ms) that no core count shortens, over a
+    third of the time at 4 cores.  The per-level wave model, the sum over
+    levels of 2 latency + serialization + ceil(nodes/cores) recovery,
+    predicts 1.536; tests/test_acceptance.py pins it against the simulator.
+    The bound is kept as specified."""
     chk = _Check()
     delta = 1000
     presets = netsim.SCENARIO_PRESETS

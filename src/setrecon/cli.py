@@ -3,10 +3,11 @@
 Subcommands: analyze (expectation tables), mc (Monte Carlo vs recursion),
 reconcile (end-to-end protocol run), netsim (network simulation sweep),
 verify (acceptance suite).  Every command is deterministic under --seed;
-commands with --out also write <out>.manifest.json recording parameters,
-seed, version, and output checksums.
+analyze, mc, reconcile and netsim with --out also write <out>.manifest.json
+recording parameters, seed, version, and output checksums.
 
-Exit codes: 0 success, 2 usage error, 3 acceptance-check failure.
+Exit codes: 0 success, 2 usage error (an invalid argument, or a file that
+cannot be read or written), 3 acceptance-check failure.
 """
 
 from __future__ import annotations
@@ -40,46 +41,35 @@ from .sketch import wire_cost
 _ANALYZE_CAP = 10_000
 
 
-class UsageError(ValueError):
-    """A command-line argument the command cannot use.  `main` reports it,
-    like the package's own `ValueError`s for invalid parameters, with
-    exit 2."""
-
-
 def _schedule_from_args(args) -> PartitionSchedule:
-    if args.probs:
+    if args.probs is not None:
         schedule = schedule_from_strings(args.probs.split(","))
         if args.c is not None and schedule.c != args.c:
-            raise UsageError(f"--c {args.c} does not match {schedule.c} probabilities")
+            raise ValueError(f"--c {args.c} does not match {schedule.c} probabilities")
         return schedule
     return fair_probs(args.c if args.c is not None else 2)
 
 
-def _write_manifest(out_path: Path, command: str, params: dict, seed) -> None:
-    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+def _dump(out, text: str, command: str, params: dict, seed) -> None:
+    if not out:
+        sys.stdout.write(text)
+        return
+    path = Path(out)
+    path.write_text(text)
     manifest = {
         "command": command,
         "params": params,
         "seed": seed,
         "tool_version": __version__,
-        "outputs": {out_path.name: digest},
+        "outputs": {path.name: hashlib.sha256(path.read_bytes()).hexdigest()},
     }
-    manifest_path = out_path.with_name(out_path.name + ".manifest.json")
+    manifest_path = path.with_name(path.name + ".manifest.json")
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _dump(out, text: str, command: str, params: dict, seed) -> None:
-    if out:
-        path = Path(out)
-        path.write_text(text)
-        _write_manifest(path, command, params, seed)
-    else:
-        sys.stdout.write(text)
 
 
 def cmd_analyze(args) -> int:
     if args.delta_max > _ANALYZE_CAP:
-        raise UsageError(f"--delta-max is capped at {_ANALYZE_CAP}")
+        raise ValueError(f"--delta-max is capped at {_ANALYZE_CAP}")
     schedule = _schedule_from_args(args)
     buf = io.StringIO()
     write_metrics_csv(buf, args.delta_max, args.mbar, args.gamma, args.bits, schedule)
@@ -96,7 +86,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_mc(args) -> int:
     if args.samples < 100:
-        raise UsageError("--samples must be at least 100")
+        raise ValueError("--samples must be at least 100")
     schedule = _schedule_from_args(args)
     deltas = _parse_int_list(args.delta)
     tables = expectation_tables(max(deltas), args.mbar, schedule)
@@ -137,9 +127,9 @@ def _parse_int_list(text: str) -> list[int]:
     try:
         values = [int(x) for x in text.split(",")]
     except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
-    if not values or any(v < 0 for v in values):
-        raise UsageError("values must be nonnegative integers")
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+    if any(v < 0 for v in values):
+        raise ValueError("values must be nonnegative integers")
     return values
 
 
@@ -148,23 +138,23 @@ def cmd_reconcile(args) -> int:
         fixture = load_fixture(args.fixture)
         protocol = args.protocol or fixture.config.protocol
         config = replace(fixture.config, protocol=protocol)
-        set_a, set_b = set(fixture.set_a), set(fixture.set_b)
-        a_only, b_only = fixture.set_a, fixture.set_b
+        set_a, set_b = a_only, b_only = fixture.set_a, fixture.set_b
     else:
         protocol = args.protocol or "psr"
         schedule = _schedule_from_args(args)
         if min(args.delta, args.shared) < 0:
-            raise UsageError("--delta and --shared must be nonnegative")
-        if args.delta + args.shared > (1 << min(args.bits, 62)):
-            raise UsageError("delta plus shared exceeds the universe capacity")
-        a_only, b_only, shared = acceptance.random_instance(
-            random.Random(args.seed), args.delta, args.shared, args.bits
-        )
-        set_a, set_b = set(a_only) | shared, set(b_only) | shared
+            raise ValueError("--delta and --shared must be nonnegative")
+        # made first, so the shift below only sees a width it accepts
         config = ProtocolConfig(
             args.mbar, args.gamma, args.bits, schedule,
             hash_seed=args.seed, protocol=protocol,
         )
+        if args.delta + args.shared > (1 << args.bits):
+            raise ValueError("delta plus shared exceeds the universe capacity")
+        a_only, b_only, shared = acceptance.random_instance(
+            random.Random(args.seed), args.delta, args.shared, args.bits
+        )
+        set_a, set_b = set(a_only) | shared, set(b_only) | shared
     trace = [] if args.trace else None
     result, metrics = reconcile(set_a, make_loopback(set_b, config, trace), config)
     if trace is not None:
@@ -189,12 +179,9 @@ def cmd_reconcile(args) -> int:
 
 
 def cmd_netsim(args) -> int:
-    try:
-        scenario = netsim.load_scenario(args.scenario)
-    except OSError as exc:
-        raise UsageError(f"cannot load scenario {args.scenario!r}: {exc}") from None
+    scenario = netsim.load_scenario(args.scenario)
     deltas = _parse_int_list(args.delta)
-    cores = _parse_int_list(args.cores) if args.cores else [scenario.n_cores]
+    cores = [scenario.n_cores] if args.cores is None else _parse_int_list(args.cores)
     protocols = ("psr", "epsr") if args.protocol == "both" else (args.protocol,)
     rows = netsim.sweep(deltas, scenario, cores, protocols, args.seed, args.samples)
     buf = io.StringIO()
@@ -211,7 +198,7 @@ def cmd_netsim(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    numbers = _parse_int_list(args.criteria) if args.criteria else None
+    numbers = None if args.criteria is None else _parse_int_list(args.criteria)
     results = acceptance.run_criteria(numbers)
     if args.out:
         payload = [asdict(r) | {"seconds": round(r.seconds, 2)} for r in results]
@@ -295,7 +282,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -50,13 +50,14 @@ class ScenarioConfig:
     def __post_init__(self):
         if not all(v > 0 for v in (self.latency_ms, self.throughput_bps, self.recovery_ms)):
             raise ValueError("latency, throughput and recovery time must be positive")
-        if not all(map(math.isfinite, (self.latency_ms, self.recovery_ms))):
-            raise ValueError("latency and recovery time must be finite")
         if self.n_cores < 1:
             raise ValueError("n_cores must be >= 1")
-        # ConfigError unless mbar >= 1, gamma >= 0 and element_bits >= 1;
-        # with mbar < 1 a placement tree would split forever
-        wire_cost(self.mbar, self.gamma, self.element_bits)
+        # sketch_bits raises ConfigError unless mbar >= 1, gamma >= 0 and
+        # element_bits >= 1 (with mbar < 1 a placement tree would split
+        # forever); _clock rounds these three times to integer nanoseconds
+        if not all(map(math.isfinite, (self.latency_ms * _NS_PER_MS, self.recovery_ms * _NS_PER_MS,
+                                       self.sketch_bits * 1e9 / self.throughput_bps))):
+            raise ValueError("latency, recovery and serialization times must be finite in ns")
 
     @property
     def sketch_bits(self) -> int:

@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 
@@ -214,9 +215,26 @@ def test_netsim_unknown_scenario(tmp_path, capsys):
     "reconcile --delta -1", "reconcile --shared -1", "reconcile --bits 1025",
     "netsim --samples 0", "netsim --cores 0",
     "verify --criteria 10", "verify --criteria 0,9",
+    'verify --criteria ""', 'netsim --cores ""', 'analyze --probs ""',
 ])
 def test_invalid_arguments_exit_2(argv, capsys):
-    assert run_cli(*argv.split()) == 2
+    assert run_cli(*shlex.split(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    "analyze --delta-max 10 --out {missing}", "mc --delta 10 --samples 100 --out {missing}",
+    "netsim --delta 10 --samples 1 --out {missing}", "reconcile --fixture fig2 --out {missing}",
+    "verify --criteria 1 --out {missing}", "reconcile --fixture fig2 --trace {missing}",
+    "netsim --scenario {tmp}", "netsim --scenario {recovery}", "netsim --scenario {throughput}",
+])
+def test_unusable_files_exit_2(argv, tmp_path, capsys):
+    (tmp_path / "recovery.txt").write_text("recovery_ms = 1e305\n")
+    (tmp_path / "throughput.txt").write_text("throughput_bps = 1e-300\n")
+    paths = {"tmp": tmp_path, "missing": tmp_path / "missing" / "out",
+             "recovery": tmp_path / "recovery.txt", "throughput": tmp_path / "throughput.txt"}
+    assert run_cli(*(arg.format(**paths) for arg in shlex.split(argv))) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
 

@@ -404,9 +404,11 @@ def test_scenario_validation():
         netsim.ScenarioConfig(mbar=0)
     with pytest.raises(ValueError):
         netsim.ScenarioConfig(throughput_bps=float("nan"))
-    for key in ("latency_ms", "recovery_ms"):
+    # the last three overflow _clock's integer nanoseconds
+    for key, value in (("latency_ms", float("inf")), ("recovery_ms", float("inf")),
+                       ("latency_ms", 1e305), ("recovery_ms", 1e305), ("throughput_bps", 1e-300)):
         with pytest.raises(ValueError, match="finite"):
-            netsim.ScenarioConfig(**{key: float("inf")})
+            netsim.ScenarioConfig(**{key: value})
     with pytest.raises(ValueError):
         netsim.sweep([10], netsim.SCENARIO_PRESETS["I"], [1], ("psr",), seed=0, samples=0)
     with pytest.raises(ValueError):
