@@ -102,9 +102,11 @@ def poly_divmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int
             continue
         f = c * inv_lead % q
         quot[k - db] = f
-        for j in range(db + 1):
-            r[k - db + j] = (r[k - db + j] - f * b[j]) % q
-    return poly_trim(quot), poly_trim([c % q for c in r])
+        # r[k] is left as it is, since no later step reads it; the
+        # remainder is reduced once, at the end.
+        for j in range(db):
+            r[k - db + j] -= f * b[j]
+    return poly_trim(quot), poly_trim([c % q for c in r[:db]])
 
 
 def poly_mod(a: list[int], b: list[int], q: int) -> list[int]:

@@ -25,6 +25,7 @@ _COUNT_MIN = -(2**31)
 _COUNT_MAX = 2**31 - 1
 _HEADER = struct.Struct("<HHHi")
 MAX_ELEMENT_BITS = 1024  # a field's prime search: 0.5 s at 1024 bits, 4 s at 2048 (2 vCPUs)
+_GROUP_BITS = 128  # widest elements whose factors `insert_set` multiplies three at a time
 
 
 class ConfigError(ValueError):
@@ -116,12 +117,24 @@ def insert_set(sk: SRSketch, elements) -> SRSketch:
     q = cfg.modulus
     if sk.count + len(elems) > _COUNT_MAX:
         raise ElementError("sketch count would overflow 32-bit range")
-    vals = list(sk.values)
+    limit = cfg.universe_size
     for e in elems:
-        if not 0 <= e < cfg.universe_size:
+        if not 0 <= e < limit:
             raise ElementError(f"element {e} outside [0, 2^{cfg.element_bits})")
-        for i, z in enumerate(cfg.eval_points):
-            vals[i] = vals[i] * (z - e) % q
+    # Each point's value stays in a local while the elements are walked.  Up
+    # to _GROUP_BITS, three factors share one reduction, which saves more
+    # interpreter work than the wider product costs; above it the wider
+    # product costs more, and every element takes the one-factor loop.
+    head = len(elems) % 3 if cfg.element_bits <= _GROUP_BITS else len(elems)
+    single = elems[:head]
+    triples = list(zip(elems[head::3], elems[head + 1::3], elems[head + 2::3]))
+    vals = []
+    for z, v in zip(cfg.eval_points, sk.values):
+        for e in single:
+            v = v * (z - e) % q
+        for a, b, c in triples:
+            v = v * (z - a) * (z - b) * (z - c) % q
+        vals.append(v)
     return SRSketch(cfg, tuple(vals), sk.count + len(elems))
 
 

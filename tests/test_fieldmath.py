@@ -122,14 +122,20 @@ def _rand_poly(rng, deg, q):
 
 
 def test_poly_divmod_roundtrip():
-    rng = random.Random(1)
-    q = 10007
-    for _ in range(50):
-        a = _rand_poly(rng, rng.randrange(0, 12), q)
-        b = _rand_poly(rng, rng.randrange(0, 6), q)
-        quot, rem = fm.poly_divmod(a, b, q)
-        assert len(rem) < len(b) or not rem
-        assert poly_add(fm.poly_mul(quot, b, q), rem, q) == fm.poly_trim(list(a))
+    # A small modulus and two wide ones.  After the random degrees, each
+    # divisor degree d divides a dividend of degree d and one of degree
+    # 2d - 2, the degree `poly_mod` sees after squaring a remainder.
+    for q in (10007, fm.next_prime(2**64 + 27), fm.next_prime(2**256 + 18)):
+        rng = random.Random(1)
+        pairs = [(_rand_poly(rng, rng.randrange(0, 12), q), _rand_poly(rng, rng.randrange(0, 6), q))
+                 for _ in range(50)]
+        pairs += [(_rand_poly(rng, deg, q), _rand_poly(rng, d, q))
+                  for d in range(1, 28) for deg in (d, 2 * d - 2)]
+        for a, b in pairs:
+            quot, rem = fm.poly_divmod(a, b, q)
+            assert len(rem) < len(b) or not rem
+            assert all(0 <= c < q for c in quot + rem)
+            assert poly_add(fm.poly_mul(quot, b, q), rem, q) == fm.poly_trim(list(a))
 
 
 def test_poly_gcd_common_factor():

@@ -130,6 +130,58 @@ def test_insert_validation(cfg4):
         sk.insert_set(sk.new_sketch(cfg4), [1, 1])
 
 
+def _insert_reference(z, elements):
+    """`insert_set` with one factor per reduction, element by element."""
+    elems = list(elements)
+    if len(set(elems)) != len(elems):
+        raise sk.ElementError("duplicate elements: sketches represent sets")
+    cfg = z.config
+    q = cfg.modulus
+    if z.count + len(elems) > 2**31 - 1:
+        raise sk.ElementError("sketch count would overflow 32-bit range")
+    vals = list(z.values)
+    for e in elems:
+        if not 0 <= e < cfg.universe_size:
+            raise sk.ElementError(f"element {e} outside [0, 2^{cfg.element_bits})")
+        for i, point in enumerate(cfg.eval_points):
+            vals[i] = vals[i] * (point - e) % q
+    return sk.SRSketch(cfg, tuple(vals), z.count + len(elems))
+
+
+def _insert_outcome(insert, z, elems):
+    try:
+        return insert(z, elems)
+    except sk.ElementError as exc:
+        return f"ElementError: {exc}"
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 8, 16, 31, 32, 63, 64, 65, 127, 128, 129,
+                                  255, 256, 257, 512, 1024])
+def test_insert_set_matches_reference(bits):
+    # Every length mod 3, below and above the width where factors are grouped,
+    # into sketches holding arbitrary values and counts.
+    rng = random.Random(bits)
+    cfg = sk.field_setup(bits, 3, 1)
+    size = cfg.universe_size
+    for n in [*range(11), 64, 65, 200]:
+        if n > size:
+            continue
+        elems = (rng.sample(range(size), n) if bits < 63
+                 else [rng.getrandbits(bits) for _ in range(n)])
+        values = tuple(rng.randrange(1, cfg.modulus) for _ in range(cfg.n_points))
+        # An arbitrary count, the last count that fits, then one that overflows.
+        counts = (rng.choice([-1, 1]) * rng.randrange(1, 1000), 2**31 - 1 - n, 2**31 - n)
+        cases = [elems, elems + [size + rng.randrange(9), -1 - rng.randrange(9)]]
+        rng.shuffle(cases[1])  # the refusal names the first outside element
+        if elems:
+            cases.append(elems + [rng.choice(elems), -1])  # duplicates are refused first
+        for count in counts:
+            start = sk.SRSketch(cfg, values, count)
+            for case in cases:
+                assert (_insert_outcome(sk.insert_set, start, case)
+                        == _insert_outcome(_insert_reference, start, case))
+
+
 def test_subtract_example(cfg4):
     d = sk.subtract(sk.sketch_of(cfg4, [3, 5]), sk.sketch_of(cfg4, [5, 7]))
     assert d.values[0] == 4 and d.count == 0
