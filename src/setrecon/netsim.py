@@ -13,6 +13,13 @@ recoveries.  `sample_placement_tree` draws one such tree; it is the
 package's only per-tree sampler (`analysis.mc_sample_batch` draws trees
 in bulk).
 
+The model fixes the order of completions.  One link FIFO with a fixed
+serialization, one recovery duration and FIFO cores make fetches
+complete in the order they were issued, and recoveries too.  So `_clock`
+keeps each completion stream as a sorted FIFO queue and the cores as a
+ring, and costs O(1) per action; completions at the same time are taken
+in issue order.
+
 All times are integer nanoseconds internally; results are reported in
 milliseconds.  Identical (protocol, tree, scenario) inputs produce
 bit-identical event logs.
@@ -20,9 +27,9 @@ bit-identical event logs.
 
 from __future__ import annotations
 
-import heapq
 import math
 import typing
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -202,7 +209,8 @@ class _TreeRun(RunCounters):
         for j in path[after.depth:]:
             node = node.children[j]
         self.tx += 1
-        self.max_tx_depth = max(self.max_tx_depth, len(path))
+        if self.max_tx_depth < len(path):
+            self.max_tx_depth = len(path)
         return _Piece(node, len(path), node.count, self._record(after.recovery, True, path))
 
     def subtract(self, z: _Piece, z_child: _Piece) -> _Piece:
@@ -217,33 +225,49 @@ class _TreeRun(RunCounters):
 
 def _clock(start, sc: ScenarioConfig, log: list | None) -> int:
     """Times an action graph on the module's link and cores; returns when
-    the last recovery finishes.  Completions at the same time, and the
-    actions one completion issues, are taken in the order they were issued."""
+    the last recovery finishes.
+
+    Every fetch has the same latency and serialization on one FIFO link,
+    and every recovery the same duration on FIFO cores, so fetches finish
+    in the order they were issued, and so do recoveries.  Each completion
+    stream is therefore a FIFO queue already sorted by (time, issue
+    order), the next event is the earlier of the two heads, and the core
+    that frees first is the one taken longest ago: O(1) per action.
+    Completions at the same time, and the actions one completion issues,
+    are taken in the order they were issued."""
     latency, serialization, recovery = sc.latency_ns, sc.serialization_ns, sc.recovery_ns
-    cores = [0] * sc.n_cores
-    events = [(0, 0, start)]
+    cores = deque([0] * sc.n_cores)  # free times, earliest first
+    fetched, recovered = deque(), deque([(0, 0, start[2])])  # (done, seq, actions issued)
     seq = link_free = 0
-    while events:
-        t, _, (_, _, issued) = heapq.heappop(events)
-        for action in issued:
-            is_fetch, label, _ = action
+    while True:
+        if recovered and (not fetched or recovered[0] < fetched[0]):
+            t, _, issued = recovered.popleft()
+        elif fetched:
+            t, _, issued = fetched.popleft()
+        else:
+            return cores[-1]  # the ring is sorted: its last core frees last
+        for is_fetch, label, next_actions in issued:
+            seq += 1
             if is_fetch:
                 at_b = t + latency
-                link_free = max(link_free, at_b) + serialization
+                if link_free < at_b:
+                    link_free = at_b
+                link_free += serialization
                 done = link_free + latency
+                fetched.append((done, seq, next_actions))
                 if log is not None:
                     log += [(t, "request_sent", label), (at_b, "reply_enqueued", label),
                             (done, "reply_delivered", label)]
             else:
-                begin = max(t, heapq.heappop(cores))
+                begin = cores.popleft()
+                if begin < t:
+                    begin = t
                 done = begin + recovery
-                heapq.heappush(cores, done)
+                cores.append(done)
+                recovered.append((done, seq, next_actions))
                 if log is not None:
                     log += [(begin, "recovery_started", label),
                             (done, "recovery_finished", label)]
-            seq += 1
-            heapq.heappush(events, (done, seq, action))
-    return max(cores)
 
 
 def run_trial(protocol: str, tree: PlacementNode, scenario: ScenarioConfig,

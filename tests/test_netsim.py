@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import re
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -215,6 +216,97 @@ def test_hand_computed_fifo_timings():
     epsr = netsim.run_trial("epsr", tree, sc)
     assert epsr.total_ms == pytest.approx(255.0)
     assert epsr.sketches_transmitted == 2 and epsr.recovery_calls == 3
+
+    # 2 cores, zero serialization, fair c=4: a root of 8 splits into four
+    # leaves of 2.  PSR: root reply at 20, recovery to 25 fails; the four
+    # replies all arrive at 45 and recover two at a time: 50, then 55.
+    sc = netsim.ScenarioConfig(latency_ms=10, throughput_bps=1e15, recovery_ms=5, n_cores=2,
+                               mbar=2, schedule=fair_probs(4))
+    assert sc.serialization_ns == 0
+    tree = netsim.PlacementNode(8, (netsim.PlacementNode(2),) * 4)
+    psr = netsim.run_trial("psr", tree, sc)
+    assert psr.total_ms == pytest.approx(4 * 10 + 3 * 5)
+    assert psr.sketches_transmitted == 5 and psr.recovery_calls == 5
+    # EPSR: child j is requested when the residual before it fails; each
+    # child and its residual recover side by side on the two cores.
+    # Child 0 requested 25, arrives 45, residual 6 fails at 50; child 1
+    # arrives 70, residual 4 fails at 75; child 2 arrives 95, residual 2
+    # succeeds at 100, so child 3 is never requested.
+    epsr = netsim.run_trial("epsr", tree, sc)
+    assert epsr.total_ms == pytest.approx(8 * 10 + 4 * 5)
+    assert epsr.sketches_transmitted == 4 and epsr.recovery_calls == 7
+
+
+def _reference_clock(start, sc, log):
+    """The heap-based clock as first written: one heap of completions
+    keyed by (time, issue order) and one heap of core free times.
+    `netsim._clock` must give the same finish time and event log."""
+    latency, serialization, recovery = sc.latency_ns, sc.serialization_ns, sc.recovery_ns
+    cores = [0] * sc.n_cores
+    events = [(0, 0, start)]
+    seq = link_free = 0
+    while events:
+        t, _, (_, _, issued) = heapq.heappop(events)
+        for action in issued:
+            is_fetch, label, _ = action
+            if is_fetch:
+                at_b = t + latency
+                link_free = max(link_free, at_b) + serialization
+                done = link_free + latency
+                if log is not None:
+                    log += [(t, "request_sent", label), (at_b, "reply_enqueued", label),
+                            (done, "reply_delivered", label)]
+            else:
+                begin = max(t, heapq.heappop(cores))
+                done = begin + recovery
+                heapq.heappush(cores, done)
+                if log is not None:
+                    log += [(begin, "recovery_started", label),
+                            (done, "recovery_finished", label)]
+            seq += 1
+            heapq.heappush(events, (done, seq, action))
+    return max(cores)
+
+
+def _simultaneous_completions(log):
+    """Times at which two replies arrive, and times at which a reply
+    arrives as a recovery finishes."""
+    done = {}
+    for t, ev, _ in log:
+        if ev in ("reply_delivered", "recovery_finished"):
+            done.setdefault(t, []).append(ev)
+    return (sum(evs.count("reply_delivered") > 1 for evs in done.values()),
+            sum(len(set(evs)) == 2 for evs in done.values()))
+
+
+def test_clock_matches_heap_reference():
+    schedules = (fair_probs(2), fair_probs(3), round_optimal_probs(4),
+                 PartitionSchedule((Fraction(9, 10), Fraction(1, 10))))
+    presets = netsim.SCENARIO_PRESETS
+    # zero serialization: replies to one round arrive together
+    replies_tie = replace(presets["I"], throughput_bps=1e15)
+    # equal latency and recovery: replies arrive as recoveries finish
+    reply_recovery_tie = replace(presets["I"], recovery_ms=presets["I"].latency_ms)
+    ties = {replies_tie: [0, 0], reply_recovery_tie: [0, 0]}
+    for k, sched in enumerate(schedules):
+        rng = np.random.default_rng(40 + k)
+        for delta, mbar in ((30, 2), (150, 5), (400, 20)):
+            tree = netsim.sample_placement_tree(delta, mbar, sched, rng)
+            for protocol in ("psr", "epsr"):
+                run = netsim._TreeRun(tree, mbar, True)
+                proto.ENGINES[protocol](run, sched.c)
+                for base in (*presets.values(), *ties):
+                    for cores in range(1, 6):
+                        sc = replace(base, mbar=mbar, schedule=sched, n_cores=cores)
+                        log, ref_log = [], []
+                        assert (netsim._clock(run.origin.recovery, sc, log)
+                                == _reference_clock(run.origin.recovery, sc, ref_log))
+                        assert log == ref_log
+                        if base in ties:
+                            for i, n in enumerate(_simultaneous_completions(log)):
+                                ties[base][i] += n
+    # each tie scenario holds the ties it is here for
+    assert ties[replies_tie][0] > 0 and ties[reply_recovery_tie][1] > 0
 
 
 def test_conservation_and_equivalence_with_protocol_engines():
