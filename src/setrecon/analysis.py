@@ -235,7 +235,10 @@ def mc_sample_batch(delta: int, mbar: int, schedule: PartitionSchedule,
                     n_samples: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Vectorized sampler: n_samples independent trees, processed level by
     level; statistically identical to evaluating the per-tree counting rules
-    on n_samples trees from `netsim.sample_placement_tree`."""
+    on n_samples trees from `netsim.sample_placement_tree`.  A negative
+    delta, or mbar < 1 (which would split forever), raises `ValueError`."""
+    if delta < 0 or mbar < 1:
+        raise ValueError(f"need delta >= 0 and mbar >= 1, got {delta} and {mbar}")
     probs = np.array(schedule.as_floats())
     c = schedule.c
     n = np.ones(n_samples)

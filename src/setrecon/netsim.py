@@ -13,6 +13,16 @@ recoveries.  `sample_placement_tree` draws one such tree; it is the
 package's only per-tree sampler (`analysis.mc_sample_batch` draws trees
 in bulk).
 
+A trial records each fetch and recovery under the action whose
+completion issues it.  Fetches and recoveries alternate in this graph: a
+fetch is issued by the failed recovery before it (the root fetch by the
+start), a recovery by the fetch that delivered its piece.  So an action
+is just the list of actions it issues; its kind is known from its
+issuer's, and log labels are made only when a log is asked for.  A tree
+must fit its scenario: a negative root count, or a split node the engine
+steps into that lacks exactly the schedule's c children, raises
+`ValueError`.
+
 The model fixes the order of completions.  One link FIFO with a fixed
 serialization, one recovery duration and FIFO cores make fetches
 complete in the order they were issued, and recoveries too.  So `_clock`
@@ -140,7 +150,11 @@ def sample_placement_tree(delta: int, mbar: int, schedule: PartitionSchedule,
 
     Splits are drawn in pre-order (a node, then its children's subtrees
     left to right), so a given rng state always yields the same tree.  The
-    walk keeps its own stack, so the tree may be arbitrarily deep."""
+    walk keeps its own stack, so the tree may be arbitrarily deep.  A
+    negative delta, or mbar < 1 (which would split forever), raises
+    `ValueError`."""
+    if delta < 0 or mbar < 1:
+        raise ValueError(f"need delta >= 0 and mbar >= 1, got {delta} and {mbar}")
     probs = schedule.as_floats()
     if delta <= mbar:
         return PlacementNode(delta)
@@ -173,59 +187,77 @@ class TrialResult(ReconcileMetrics):
     total_ms: float
 
 
-class _Piece:
-    """A count-only difference sketch: the node it was fetched for and its
-    depth (a residual keeps its parent's, also when it is the last child's
-    sketch), its count, the action delivering it and its recovery."""
-
-    __slots__ = ("node", "depth", "count", "ready", "recovery")
-
-    def __init__(self, node: PlacementNode, depth: int, count: int, ready):
-        self.node, self.depth, self.count, self.ready = node, depth, count, ready
+def _label(path) -> str:
+    return ".".join(map(str, path)) or "-"
 
 
 class _TreeRun(RunCounters):
-    """A protocol engine's run on a placement tree.  Each fetch and each
-    recovery is recorded as an action (is_fetch, log label if `labelled`,
-    actions it issues) under the action whose completion issues it."""
+    """A protocol engine's run on a placement tree, recorded as the action
+    graph of the module docstring (a residual's fetch is its child's);
+    `start` is the origin's recovery, which issues the root fetch.
 
-    def __init__(self, tree: PlacementNode, mbar: int, labelled: bool):
+    A piece is a tuple (node, depth, count, fetch, recovery): the node it
+    was fetched for and its depth (a residual keeps its parent's, also
+    when it is the last child's sketch), its count, the fetch delivering
+    it and its recovery, made with the piece since every piece is
+    recovered once."""
+
+    def __init__(self, tree: PlacementNode, mbar: int, c: int):
         super().__init__()
-        self.mbar = mbar
-        self.labelled = labelled
-        # stands before the root: its "recovery" issues the root fetch at time 0
-        self.origin = _Piece(tree, 0, tree.count, None)
-        self.origin.recovery = (False, None, [])
+        self.tree, self.mbar, self.c = tree, mbar, c
+        self.start = []
 
-    def _record(self, cause, is_fetch: bool, path) -> tuple:
-        label = (".".join(map(str, path)) or "-") if self.labelled else None
-        action = (is_fetch, label, [])
-        cause[2].append(action)
-        return action
-
-    def fetch(self, path, after) -> _Piece:
-        after = after or self.origin
-        node = after.node
-        for j in path[after.depth:]:
+    def fetch(self, path, after) -> tuple:
+        if after is None:
+            node, depth, issued = self.tree, 0, self.start
+        else:
+            node, depth, _, _, issued = after
+        for j in path[depth:]:
+            if len(node.children) != self.c:
+                raise ValueError(f"tree node at path {_label(path[:depth])!r} has "
+                                 f"{len(node.children)} children, not the schedule's c={self.c}")
             node = node.children[j]
+            depth += 1
         self.tx += 1
-        if self.max_tx_depth < len(path):
-            self.max_tx_depth = len(path)
-        return _Piece(node, len(path), node.count, self._record(after.recovery, True, path))
+        if self.max_tx_depth < depth:
+            self.max_tx_depth = depth
+        action = []
+        issued.append(action)
+        return node, depth, node.count, action, []
 
-    def subtract(self, z: _Piece, z_child: _Piece) -> _Piece:
+    def subtract(self, z: tuple, z_child: tuple) -> tuple:
         # z_child was requested after z's recovery failed, so it arrives last.
-        return _Piece(z.node, z.depth, z.count - z_child.count, z_child.ready)
+        return z[0], z[1], z[2] - z_child[2], z_child[3], []
 
-    def recover(self, path, z: _Piece) -> bool:
+    def recover(self, path, z: tuple) -> bool:
         self.recoveries += 1
-        z.recovery = self._record(z.ready, False, path)
-        return z.count <= self.mbar
+        z[3].append(z[4])
+        return z[2] <= self.mbar
 
 
-def _clock(start, sc: ScenarioConfig, log: list | None) -> int:
+class _LabelledRun(_TreeRun):
+    """A `_TreeRun` that also keeps each action's log label, keyed by the
+    id of its list; the graph keeps every list alive until it is timed."""
+
+    def __init__(self, tree: PlacementNode, mbar: int, c: int):
+        super().__init__(tree, mbar, c)
+        self.labels = {}
+
+    def fetch(self, path, after) -> tuple:
+        z = super().fetch(path, after)
+        self.labels[id(z[3])] = _label(path)
+        return z
+
+    def recover(self, path, z: tuple) -> bool:
+        self.labels[id(z[4])] = _label(path)
+        return super().recover(path, z)
+
+
+def _clock(start: list, sc: ScenarioConfig, log: list | None = None,
+           labels: dict | None = None) -> int:
     """Times an action graph on the module's link and cores; returns when
-    the last recovery finishes.
+    the last recovery finishes.  Given a `log` list and the actions'
+    `labels`, appends each action's events to it.
 
     Every fetch has the same latency and serialization on one FIFO link,
     and every recovery the same duration on FIFO cores, so fetches finish
@@ -234,40 +266,46 @@ def _clock(start, sc: ScenarioConfig, log: list | None) -> int:
     order), the next event is the earlier of the two heads, and the core
     that frees first is the one taken longest ago: O(1) per action.
     Completions at the same time, and the actions one completion issues,
-    are taken in the order they were issued."""
+    are taken in the order they were issued.  Fetches and recoveries
+    alternate in the graph, so a completion's queue says what it issues:
+    a recovery (`start` is the origin's) issues fetches, a fetch issues
+    recoveries."""
     latency, serialization, recovery = sc.latency_ns, sc.serialization_ns, sc.recovery_ns
     cores = deque([0] * sc.n_cores)  # free times, earliest first
-    fetched, recovered = deque(), deque([(0, 0, start[2])])  # (done, seq, actions issued)
+    fetched, recovered = deque(), deque([(0, 0, start)])  # (done, seq, actions issued)
     seq = link_free = 0
     while True:
         if recovered and (not fetched or recovered[0] < fetched[0]):
             t, _, issued = recovered.popleft()
-        elif fetched:
-            t, _, issued = fetched.popleft()
-        else:
-            return cores[-1]  # the ring is sorted: its last core frees last
-        for is_fetch, label, next_actions in issued:
-            seq += 1
-            if is_fetch:
+            for action in issued:
+                seq += 1
                 at_b = t + latency
                 if link_free < at_b:
                     link_free = at_b
                 link_free += serialization
                 done = link_free + latency
-                fetched.append((done, seq, next_actions))
+                fetched.append((done, seq, action))
                 if log is not None:
+                    label = labels[id(action)]
                     log += [(t, "request_sent", label), (at_b, "reply_enqueued", label),
                             (done, "reply_delivered", label)]
-            else:
+        elif fetched:
+            t, _, issued = fetched.popleft()
+            for action in issued:
+                seq += 1
                 begin = cores.popleft()
                 if begin < t:
                     begin = t
                 done = begin + recovery
                 cores.append(done)
-                recovered.append((done, seq, next_actions))
+                if action:  # a recovery that issues nothing changes nothing when it ends
+                    recovered.append((done, seq, action))
                 if log is not None:
+                    label = labels[id(action)]
                     log += [(begin, "recovery_started", label),
                             (done, "recovery_finished", label)]
+        else:
+            return cores[-1]  # the ring is sorted: its last core frees last
 
 
 def run_trial(protocol: str, tree: PlacementNode, scenario: ScenarioConfig,
@@ -276,14 +314,23 @@ def run_trial(protocol: str, tree: PlacementNode, scenario: ScenarioConfig,
     tree and times the actions it takes.  Returns the completion time of
     the last recovery along with the communication counters.  Given a
     `log` list, appends the trial's events (time in ns, event, path label)
-    to it in time order; ties keep their issue order."""
+    to it in time order; ties keep their issue order.  A tree that does
+    not fit the scenario raises `ValueError`: one with a negative count,
+    or with a split node the engine steps into that lacks exactly the
+    schedule's c children (a tree sampled with another schedule, or at a
+    larger mbar)."""
     if protocol not in ENGINES:
         raise ValueError("protocol must be 'psr' or 'epsr'")
-    run = _TreeRun(tree, scenario.mbar, log is not None)
-    ENGINES[protocol](run, scenario.schedule.c)
-    events = None if log is None else []
-    finished = _clock(run.origin.recovery, scenario, events)
-    if log is not None:
+    if tree.count < 0:
+        raise ValueError(f"tree root count {tree.count} is negative")
+    c = scenario.schedule.c
+    run = (_TreeRun if log is None else _LabelledRun)(tree, scenario.mbar, c)
+    ENGINES[protocol](run, c)
+    if log is None:
+        finished = _clock(run.start, scenario)
+    else:
+        events = []
+        finished = _clock(run.start, scenario, events, run.labels)
         log += sorted(events, key=lambda event: event[0])  # stable: ties keep issue order
     return run.metrics(scenario.sketch_bits, TrialResult, total_ms=finished / _NS_PER_MS)
 

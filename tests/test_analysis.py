@@ -159,6 +159,16 @@ def test_mc_batch_c2_identity_and_dominance():
     assert np.all(draws["t"] <= draws["u"])
 
 
+def test_samplers_refuse_negative_delta_and_mbar_below_one():
+    # a negative delta was sampled as one leaf; mbar 0 split forever
+    rng = np.random.default_rng(0)
+    for delta, mbar in ((-3, 4), (3, 0)):
+        with pytest.raises(ValueError, match=f"got {delta} and {mbar}"):
+            an.mc_sample_batch(delta, mbar, fair_probs(2), 10, rng)
+        with pytest.raises(ValueError, match=f"got {delta} and {mbar}"):
+            sample_placement_tree(delta, mbar, fair_probs(2), rng)
+
+
 def test_mc_batch_matches_single_sampler():
     sched = round_optimal_probs(3)
     rng1 = np.random.default_rng(3)

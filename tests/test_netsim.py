@@ -237,18 +237,22 @@ def test_hand_computed_fifo_timings():
     assert epsr.sketches_transmitted == 4 and epsr.recovery_calls == 7
 
 
-def _reference_clock(start, sc, log):
+def _reference_clock(start, sc, log, labels):
     """The heap-based clock as first written: one heap of completions
-    keyed by (time, issue order) and one heap of core free times.
-    `netsim._clock` must give the same finish time and event log."""
+    keyed by (time, issue order) and one heap of core free times.  Each
+    completion carries its kind, taken from the kind that issued it:
+    fetches and recoveries alternate, and `start` is the origin's
+    recovery.  `netsim._clock` must give the same finish time and event
+    log."""
     latency, serialization, recovery = sc.latency_ns, sc.serialization_ns, sc.recovery_ns
     cores = [0] * sc.n_cores
-    events = [(0, 0, start)]
+    events = [(0, 0, False, start)]
     seq = link_free = 0
     while events:
-        t, _, (_, _, issued) = heapq.heappop(events)
+        t, _, was_fetch, issued = heapq.heappop(events)
+        is_fetch = not was_fetch
         for action in issued:
-            is_fetch, label, _ = action
+            label = labels[id(action)]
             if is_fetch:
                 at_b = t + latency
                 link_free = max(link_free, at_b) + serialization
@@ -264,7 +268,7 @@ def _reference_clock(start, sc, log):
                     log += [(begin, "recovery_started", label),
                             (done, "recovery_finished", label)]
             seq += 1
-            heapq.heappush(events, (done, seq, action))
+            heapq.heappush(events, (done, seq, is_fetch, action))
     return max(cores)
 
 
@@ -293,15 +297,18 @@ def test_clock_matches_heap_reference():
         for delta, mbar in ((30, 2), (150, 5), (400, 20)):
             tree = netsim.sample_placement_tree(delta, mbar, sched, rng)
             for protocol in ("psr", "epsr"):
-                run = netsim._TreeRun(tree, mbar, True)
+                run = netsim._LabelledRun(tree, mbar, sched.c)
                 proto.ENGINES[protocol](run, sched.c)
                 for base in (*presets.values(), *ties):
                     for cores in range(1, 6):
                         sc = replace(base, mbar=mbar, schedule=sched, n_cores=cores)
                         log, ref_log = [], []
-                        assert (netsim._clock(run.origin.recovery, sc, log)
-                                == _reference_clock(run.origin.recovery, sc, ref_log))
+                        finished = netsim._clock(run.start, sc, log, run.labels)
+                        assert finished == _reference_clock(run.start, sc, ref_log, run.labels)
                         assert log == ref_log
+                        # a trial with a log times the same graph as one without
+                        assert (netsim.run_trial(protocol, tree, sc)
+                                == netsim.run_trial(protocol, tree, sc, []))
                         if base in ties:
                             for i, n in enumerate(_simultaneous_completions(log)):
                                 ties[base][i] += n
@@ -445,6 +452,30 @@ def test_deep_tree_trials():
         r = netsim.run_trial(protocol, tree, sc)
         assert (r.sketches_transmitted, r.recovery_calls) == counters
         assert r.rounds == 3418 and r.total_ms == 118835.4917
+
+
+def test_tree_must_fit_scenario():
+    # A tree sampled with another schedule, or at a larger mbar, is refused
+    # where the engine steps into a split node that lacks exactly c
+    # children.  Unchecked, these gave a bare IndexError, or for the c=4
+    # tree under c=2, 13 sketches and 207.7 ms in place of 65 and 839.6 ms.
+    sc = replace(netsim.SCENARIO_PRESETS["I"], mbar=10)
+
+    def tree(c):
+        return netsim.sample_placement_tree(200, 10, fair_probs(c), np.random.default_rng(0))
+
+    for t, scenario, match in (
+            (tree(2), replace(sc, schedule=fair_probs(3)), "path '-' has 2 children, not .* c=3"),
+            (tree(2), replace(sc, mbar=5), r"path '0(\.0)+(\.1)?' has 0 children, not .* c=2"),
+            (tree(4), sc, "path '-' has 4 children, not .* c=2")):
+        for protocol in ("psr", "epsr"):
+            for log in (None, []):
+                with pytest.raises(ValueError, match=match):
+                    netsim.run_trial(protocol, t, scenario, log)
+    fitted = netsim.run_trial("psr", tree(4), replace(sc, schedule=fair_probs(4)))
+    assert (fitted.sketches_transmitted, fitted.total_ms) == (65, 839.56166)
+    with pytest.raises(ValueError, match="root count -5 is negative"):
+        netsim.run_trial("epsr", netsim.PlacementNode(-5), sc)
 
 
 def test_sweep_csv(tmp_path):
