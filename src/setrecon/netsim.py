@@ -20,8 +20,18 @@ start), a recovery by the fetch that delivered its piece.  So an action
 is just the list of actions it issues; its kind is known from its
 issuer's, and log labels are made only when a log is asked for.  A tree
 must fit its scenario: a negative root count, or a split node the engine
-steps into that lacks exactly the schedule's c children, raises
+steps into that lacks exactly the schedule's c children or whose
+children's counts are negative or do not sum to its own, raises
 `ValueError`.
+
+The graph depends on the protocol, the tree, mbar and c alone; only
+`_clock` reads the link and the cores.  So `run_trial` keeps one entry:
+the graph and counters of its last engine run made without a log.  A
+later call without a log that passes the same tree object with the same
+protocol, mbar and c only re-times that graph, as a sweep over core
+counts does for each tree.  The entry holds the tree by weak reference
+and goes when the tree does; a call with a log neither reads nor fills
+it.
 
 The model fixes the order of completions.  One link FIFO with a fixed
 serialization, one recovery duration and FIFO cores make fetches
@@ -39,6 +49,7 @@ from __future__ import annotations
 
 import math
 import typing
+import weakref
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -213,10 +224,22 @@ class _TreeRun(RunCounters):
         else:
             node, depth, _, _, issued = after
         for j in path[depth:]:
-            if len(node.children) != self.c:
+            children = node.children
+            if len(children) != self.c:
                 raise ValueError(f"tree node at path {_label(path[:depth])!r} has "
-                                 f"{len(node.children)} children, not the schedule's c={self.c}")
-            node = node.children[j]
+                                 f"{len(children)} children, not the schedule's c={self.c}")
+            if not j:  # both engines enter a node they split by child 0 first
+                total = 0
+                for child in children:  # a loop: sum() and min() cost 4x more
+                    count = child.count
+                    if count < 0:
+                        break
+                    total += count
+                if count < 0 or total != node.count:
+                    raise ValueError(f"tree node at path {_label(path[:depth])!r} holds "
+                                     f"{node.count}, but its children hold "
+                                     f"{[child.count for child in children]}")
+            node = children[j]
             depth += 1
         self.tx += 1
         if self.max_tx_depth < depth:
@@ -308,6 +331,18 @@ def _clock(start: list, sc: ScenarioConfig, log: list | None = None,
             return cores[-1]  # the ring is sorted: its last core frees last
 
 
+# run_trial's memo: (weak reference to the tree, (protocol, mbar, c),
+# action graph, counters) of its last engine run made without a log.
+_last = None
+
+
+def _forget(ref) -> None:
+    """Drops the memo when its tree dies."""
+    global _last
+    if _last is not None and _last[0] is ref:
+        _last = None
+
+
 def run_trial(protocol: str, tree: PlacementNode, scenario: ScenarioConfig,
               log: list | None = None) -> TrialResult:
     """Simulate one full reconciliation: runs the protocol's engine on the
@@ -318,29 +353,51 @@ def run_trial(protocol: str, tree: PlacementNode, scenario: ScenarioConfig,
     not fit the scenario raises `ValueError`: one with a negative count,
     or with a split node the engine steps into that lacks exactly the
     schedule's c children (a tree sampled with another schedule, or at a
-    larger mbar)."""
+    larger mbar) or whose children's counts are negative or do not sum to
+    its own.
+
+    The graph and counters of the last engine run made without a log are
+    kept in one entry.  A call without a log that passes the same tree
+    object with the same protocol, `scenario.mbar` and `schedule.c` times
+    that graph again instead of rerunning the engine.  Calls with a log
+    neither read nor fill the entry.  Every engine run first drops it, so
+    two graphs are never alive at once, and a run that raises stores
+    nothing.  The entry holds the tree by weak reference only."""
+    global _last
     if protocol not in ENGINES:
         raise ValueError("protocol must be 'psr' or 'epsr'")
     if tree.count < 0:
         raise ValueError(f"tree root count {tree.count} is negative")
     c = scenario.schedule.c
-    run = (_TreeRun if log is None else _LabelledRun)(tree, scenario.mbar, c)
-    ENGINES[protocol](run, c)
-    if log is None:
-        finished = _clock(run.start, scenario)
-    else:
-        events = []
-        finished = _clock(run.start, scenario, events, run.labels)
-        log += sorted(events, key=lambda event: event[0])  # stable: ties keep issue order
-    return run.metrics(scenario.sketch_bits, TrialResult, total_ms=finished / _NS_PER_MS)
+    key = (protocol, scenario.mbar, c)
+    last = _last
+    if log is not None or last is None or last[0]() is not tree or last[1] != key:
+        last = _last = None  # frees the old graph before the engine makes one
+        run = (_TreeRun if log is None else _LabelledRun)(tree, scenario.mbar, c)
+        ENGINES[protocol](run, c)
+        if log is not None:
+            events = []
+            finished = _clock(run.start, scenario, events, run.labels)
+            log += sorted(events, key=lambda event: event[0])  # stable: ties keep issue order
+            return run.metrics(scenario.sketch_bits, TrialResult, total_ms=finished / _NS_PER_MS)
+        counters = RunCounters()  # the run holds the tree, so only its counters are kept
+        counters.tx, counters.recoveries, counters.max_tx_depth = (
+            run.tx, run.recoveries, run.max_tx_depth)
+        last = _last = (weakref.ref(tree, _forget), key, run.start, counters)
+    finished = _clock(last[2], scenario)
+    return last[3].metrics(scenario.sketch_bits, TrialResult, total_ms=finished / _NS_PER_MS)
 
 
 def sweep(deltas, scenario: ScenarioConfig, cores_list, protocols, seed: int, samples: int):
     """Rows (delta, protocol, cores, mean_ms, stderr_ms) over `samples`
     placement trees per delta, deterministic given the seed; trees are
-    shared across protocols and core counts for paired comparisons."""
+    shared across protocols and core counts for paired comparisons.  Each
+    tree runs every protocol and core count in turn, core counts
+    innermost, so `run_trial` reuses its graph across core counts."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    runs = [(protocol, cores, replace(scenario, n_cores=cores))
+            for protocol in protocols for cores in cores_list]
     rows = []
     for delta in deltas:
         rng = np.random.default_rng(seed)
@@ -348,14 +405,12 @@ def sweep(deltas, scenario: ScenarioConfig, cores_list, protocols, seed: int, sa
             sample_placement_tree(delta, scenario.mbar, scenario.schedule, rng)
             for _ in range(samples)
         ]
-        for protocol in protocols:
-            for cores in cores_list:
-                sc = replace(scenario, n_cores=cores)
-                times = np.array(
-                    [run_trial(protocol, t, sc).total_ms for t in trees]
-                )
-                stderr = float(times.std(ddof=1) / math.sqrt(len(times))) if len(times) > 1 else 0.0
-                rows.append((delta, protocol, cores, float(times.mean()), stderr))
+        per_tree = [[run_trial(protocol, tree, sc).total_ms for protocol, _, sc in runs]
+                    for tree in trees]
+        for (protocol, cores, _), column in zip(runs, zip(*per_tree)):
+            times = np.array(column)
+            stderr = float(times.std(ddof=1) / math.sqrt(len(times))) if len(times) > 1 else 0.0
+            rows.append((delta, protocol, cores, float(times.mean()), stderr))
     return rows
 
 

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import heapq
 import re
+import weakref
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -472,10 +474,40 @@ def test_tree_must_fit_scenario():
             for log in (None, []):
                 with pytest.raises(ValueError, match=match):
                     netsim.run_trial(protocol, t, scenario, log)
+    # A split node whose children's counts are negative or do not sum to
+    # its own fits no placement.  Unchecked, the first tree gave 3
+    # sketches and 77.17 ms from PSR under preset I.
+    leaf = netsim.PlacementNode
+    for t, match in (
+            (leaf(100, (leaf(1), leaf(1))), r"path '-' holds 100, but its children hold \[1, 1\]"),
+            (leaf(100, (leaf(101), leaf(-1))), r"path '-' holds 100, .* \[101, -1\]"),
+            (leaf(100, (leaf(60, (leaf(70), leaf(-10))), leaf(40))),
+             r"path '0' holds 60, .* \[70, -10\]")):
+        for protocol in ("psr", "epsr"):
+            for log in (None, []):
+                with pytest.raises(ValueError, match=match):
+                    netsim.run_trial(protocol, t, netsim.SCENARIO_PRESETS["I"], log)
     fitted = netsim.run_trial("psr", tree(4), replace(sc, schedule=fair_probs(4)))
     assert (fitted.sketches_transmitted, fitted.total_ms) == (65, 839.56166)
     with pytest.raises(ValueError, match="root count -5 is negative"):
         netsim.run_trial("epsr", netsim.PlacementNode(-5), sc)
+
+
+def _reference_sweep(deltas, scenario, cores_list, protocols, seed, samples):
+    """`netsim.sweep` as first written, protocol-major: all trees under one
+    protocol and core count before the next."""
+    rows = []
+    for delta in deltas:
+        rng = np.random.default_rng(seed)
+        trees = [netsim.sample_placement_tree(delta, scenario.mbar, scenario.schedule, rng)
+                 for _ in range(samples)]
+        for protocol in protocols:
+            for cores in cores_list:
+                sc = replace(scenario, n_cores=cores)
+                times = np.array([netsim.run_trial(protocol, t, sc).total_ms for t in trees])
+                stderr = float(times.std(ddof=1) / np.sqrt(len(times))) if len(times) > 1 else 0.0
+                rows.append((delta, protocol, cores, float(times.mean()), stderr))
+    return rows
 
 
 def test_sweep_csv(tmp_path):
@@ -484,6 +516,12 @@ def test_sweep_csv(tmp_path):
     sc = netsim.SCENARIO_PRESETS["I"]
     rows = netsim.sweep([60, 120], sc, [1, 2], ("psr", "epsr"), seed=1, samples=3)
     assert len(rows) == 8
+    # tree-major order gives the rows of the protocol-major one, also with
+    # a core count or a protocol given twice, or a single sample
+    assert rows == _reference_sweep([60, 120], sc, [1, 2], ("psr", "epsr"), 1, 3)
+    for args in (([300], netsim.SCENARIO_PRESETS["II"], [4, 1, 4], ("epsr", "psr", "epsr"), 5, 7),
+                 ([500], netsim.SCENARIO_PRESETS["III"], [2], ("psr",), 2, 1)):
+        assert netsim.sweep(*args) == _reference_sweep(*args)
     buf = io.StringIO()
     netsim.write_sweep_csv(buf, rows)
     lines = buf.getvalue().splitlines()
@@ -496,26 +534,127 @@ def test_sweep_csv(tmp_path):
 RUN_TRIAL_DIGEST = "898c2b02889fa3b11fd77ac506d103828768f52dab452ca79956e0e3d683a268"
 
 
-def test_run_trial_digest():
+def _digest_grid():
+    """The trees and scenarios of `test_run_trial_digest`, as (tree index,
+    tree, [(scenario name, cores, scenario)])."""
     schedules = (fair_probs(2), fair_probs(3), round_optimal_probs(4),
                  PartitionSchedule((Fraction(9, 10), Fraction(1, 10))))
-    digest = hashlib.sha256()
+    grid = []
     for k, sched in enumerate(schedules):
         rng = np.random.default_rng(k)
         for mbar in (3, 50):
             for delta in (0, 17, 400, 1000):
                 tree = netsim.sample_placement_tree(delta, mbar, sched, rng)
-                for name in ("I", "II", "III"):
-                    for cores in (1, 2, 4):
-                        sc = replace(netsim.SCENARIO_PRESETS[name], mbar=mbar,
-                                     schedule=sched, n_cores=cores)
-                        for protocol in ("psr", "epsr"):
-                            log = []
-                            r = netsim.run_trial(protocol, tree, sc, log)
-                            digest.update(repr((r.total_ms, r.sketches_transmitted,
-                                                r.recovery_calls, r.bits_b_to_a,
-                                                r.rounds, log)).encode())
+                grid.append((len(grid), tree, [
+                    (name, cores, replace(netsim.SCENARIO_PRESETS[name], mbar=mbar,
+                                          schedule=sched, n_cores=cores))
+                    for name in ("I", "II", "III") for cores in (1, 2, 4)]))
+    return grid
+
+
+def test_run_trial_digest():
+    digest = hashlib.sha256()
+    for _, tree, scenarios in _digest_grid():
+        for _, _, sc in scenarios:
+            for protocol in ("psr", "epsr"):
+                log = []
+                r = netsim.run_trial(protocol, tree, sc, log)
+                digest.update(repr((r.total_ms, r.sketches_transmitted,
+                                    r.recovery_calls, r.bits_b_to_a,
+                                    r.rounds, log)).encode())
     assert digest.hexdigest() == RUN_TRIAL_DIGEST
+
+
+def test_trial_memo_matches_fresh_runs(monkeypatch):
+    # A call with a log never reaches the memo, so it is the fresh result.
+    grid = _digest_grid()
+    fresh = {(i, name, cores, protocol): netsim.run_trial(protocol, tree, sc, [])
+             for i, tree, scenarios in grid for name, cores, sc in scenarios
+             for protocol in ("psr", "epsr")}
+    engine_runs = []
+    for name, engine in proto.ENGINES.items():
+        monkeypatch.setitem(proto.ENGINES, name, lambda run, c, name=name, engine=engine: (
+            engine_runs.append(name), engine(run, c)))
+    # the benchmark's order: each tree under each protocol, core counts
+    # innermost, so the engine runs once per tree and protocol
+    for i, tree, scenarios in grid:
+        for protocol in ("psr", "epsr"):
+            for name, cores, sc in scenarios:
+                assert netsim.run_trial(protocol, tree, sc) == fresh[i, name, cores, protocol]
+    assert len(engine_runs) == 2 * len(grid)
+    # the digest's order: the protocol alternates innermost, so every call misses
+    engine_runs.clear()
+    for i, tree, scenarios in grid:
+        for name, cores, sc in scenarios:
+            for protocol in ("psr", "epsr"):
+                assert netsim.run_trial(protocol, tree, sc) == fresh[i, name, cores, protocol]
+    assert len(engine_runs) == len(fresh)
+
+
+def test_trial_memo_key():
+    sc = netsim.SCENARIO_PRESETS["I"]
+    rng = np.random.default_rng(12)
+    # c: a fair-2 tree under fair 3 is refused after it ran under fair 2
+    tree = netsim.sample_placement_tree(400, 50, fair_probs(2), rng)
+    netsim.run_trial("psr", tree, sc)
+    with pytest.raises(ValueError, match="c=3"):
+        netsim.run_trial("psr", tree, replace(sc, schedule=fair_probs(3)))
+    # mbar: a tree sampled at mbar 3 runs at mbar 50 as if fresh
+    tree = netsim.sample_placement_tree(400, 3, fair_probs(2), rng)
+    small = netsim.run_trial("epsr", tree, replace(sc, mbar=3))
+    large = netsim.run_trial("epsr", tree, sc)
+    assert large == netsim.run_trial("epsr", tree, sc, [])
+    assert large.sketches_transmitted < small.sketches_transmitted
+    # protocol: each gets its own counters on one tree
+    psr = netsim.run_trial("psr", tree, sc)
+    epsr = netsim.run_trial("epsr", tree, sc)
+    assert psr == netsim.run_trial("psr", tree, sc, [])
+    assert epsr == netsim.run_trial("epsr", tree, sc, [])
+    assert psr.sketches_transmitted != epsr.sketches_transmitted
+
+
+def test_trial_memo_after_refusal_and_with_logs():
+    sc = netsim.SCENARIO_PRESETS["I"]
+    tree = netsim.sample_placement_tree(1000, 50, fair_probs(2), np.random.default_rng(4))
+    bad = netsim.PlacementNode(100, (netsim.PlacementNode(1), netsim.PlacementNode(1)))
+    first_log = []
+    expected = netsim.run_trial("psr", tree, sc, first_log)
+    assert netsim.run_trial("psr", tree, sc) == expected
+    # a refused tree stores no graph: it is refused again, and the next
+    # valid call is correct
+    for _ in range(2):
+        with pytest.raises(ValueError, match="holds 100"):
+            netsim.run_trial("psr", bad, sc)
+    assert netsim.run_trial("psr", tree, sc) == expected
+    # a log call after a memo hit gives the same log
+    assert netsim.run_trial("psr", tree, sc) == expected
+    second_log = []
+    assert netsim.run_trial("psr", tree, sc, second_log) == expected
+    assert repr(second_log) == repr(first_log)
+
+
+def test_trial_memo_keeps_no_tree():
+    sc = replace(netsim.SCENARIO_PRESETS["I"], mbar=10)
+    tree = netsim.sample_placement_tree(300, 10, fair_probs(2), np.random.default_rng(6))
+    netsim.run_trial("epsr", tree, sc)
+    ref = weakref.ref(tree)
+    del tree
+    gc.collect()
+    assert ref() is None
+    # A new tree at a dead tree's address is a new tree.  Each tree here
+    # is one new root over subtrees kept alive, so a freed root's memory
+    # is likely to hold the next root; the subtrees' depths differ, and
+    # so do the trials.
+    five = netsim.PlacementNode(5)
+    subtrees = [five]
+    for _ in range(4):
+        subtrees.append(netsim.PlacementNode(subtrees[-1].count + 5, (five, subtrees[-1])))
+    sc = replace(sc, mbar=5)
+    for k in range(30):
+        sub = subtrees[k % 5]
+        tree = netsim.PlacementNode(sub.count + 5, (five, sub))
+        assert netsim.run_trial("psr", tree, sc).sketches_transmitted == 2 * (k % 5) + 3
+        del tree
 
 
 def test_scenario_validation():
