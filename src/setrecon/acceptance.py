@@ -282,15 +282,18 @@ def criterion_8_netsim_scenarios() -> tuple[bool, str]:
     delta = 1000
     presets = netsim.SCENARIO_PRESETS
 
-    def mean_time(name: str, protocol: str, cores: int) -> float:
-        rows = netsim.sweep([delta], presets[name], [cores], (protocol,), _NETSIM_SEED, 100)
-        return rows[0][3]
+    # one sweep per scenario: its 100 trees are sampled once for every cell
+    mean = {}
+    for name in ("I", "II", "III"):
+        rows = netsim.sweep([delta], presets[name], (1, 2, 4), ("psr", "epsr"),
+                            _NETSIM_SEED, 100)
+        mean.update(((name, protocol, cores), ms) for _, protocol, cores, ms, _ in rows)
 
     for name, lo, hi in (("I", 0.95, 1.05), ("II", 0.95, 1.05), ("III", 1.7, 2.1)):
-        ratio = mean_time(name, "psr", 1) / mean_time(name, "epsr", 1)
+        ratio = mean[name, "psr", 1] / mean[name, "epsr", 1]
         chk.expect(lo <= ratio <= hi, f"scenario {name} psr/epsr {ratio:.3f} outside [{lo}, {hi}]")
         chk.note(f"{name}: psr/epsr={ratio:.3f}")
-    t1, t2, t4 = (mean_time("I", "psr", c) for c in (1, 2, 4))
+    t1, t2, t4 = (mean["I", "psr", c] for c in (1, 2, 4))
     for label, ratio in (("1->2", t1 / t2), ("2->4", t2 / t4)):
         chk.expect(
             1.7 <= ratio <= 2.1,
@@ -298,7 +301,7 @@ def criterion_8_netsim_scenarios() -> tuple[bool, str]:
         )
         chk.note(f"I {label}: {ratio:.3f}")
     for protocol in ("psr", "epsr"):
-        times3 = [mean_time("III", protocol, c) for c in (1, 2, 4)]
+        times3 = [mean["III", protocol, c] for c in (1, 2, 4)]
         spread = (max(times3) - min(times3)) / min(times3)
         chk.expect(spread < 0.05, f"scenario III {protocol} core spread {spread:.4f} >= 5%")
         chk.note(f"III {protocol} core spread: {spread * 100:.2f}%")

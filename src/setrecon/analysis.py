@@ -17,13 +17,13 @@ most 2 exp(-L).  With L = 50 that is 3.9e-22 of each child's binomial
 weight.  It multiplies earlier entries, which grow about linearly in d,
 so the omitted terms stay some five orders of magnitude below one ulp
 (2^-53 ~ 1.1e-16) of the entry, and a row costs O(c sqrt(d)) terms
-instead of O(c d).  Exact
-Fraction evaluators of the same recursions, plus an independent oracle
-that enumerates every placement of a split directly from the per-tree
-counting rules, serve as references.  The Monte Carlo sampler
-`mc_sample_batch` draws many placement trees at once, level by level, and
-evaluates all three counts and the tree depth jointly on each tree; the
-single-tree sampler is `netsim.sample_placement_tree`.
+instead of O(c d).  Exact Fraction evaluators of the same recursions, plus
+an independent oracle that enumerates every placement of a split directly
+from the per-tree counting rules, serve as references.  The Monte Carlo
+sampler `mc_sample_batch` draws many placement trees at once, level by
+level, and evaluates all three counts and the tree depth jointly on each
+tree, in memory bounded by one level's splitting nodes; the single-tree
+sampler is `netsim.sample_placement_tree`.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -230,53 +231,51 @@ def enumerate_tree_expectations(delta_max: int, mbar: int,
 # ---------------------------------------------------------------------------
 # Monte Carlo sampler.
 
+# Nodes per `multinomial` call, which bounds the sampler's working memory.
+_MC_ROWS = 1 << 15
+
 
 def mc_sample_batch(delta: int, mbar: int, schedule: PartitionSchedule,
                     n_samples: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Vectorized sampler: n_samples independent trees, processed level by
     level; statistically identical to evaluating the per-tree counting rules
-    on n_samples trees from `netsim.sample_placement_tree`.  A negative
-    delta, or mbar < 1 (which would split forever), raises `ValueError`."""
+    on n_samples trees from `netsim.sample_placement_tree`.  Leaves are
+    counted where drawn; only splitting nodes pass on, in blocks of `_MC_ROWS`
+    rows that use the generator as one call would, so memory is O(c _MC_ROWS)
+    plus 16 bytes per splitting node of the widest level.  A negative delta,
+    mbar < 1 (which would split forever) or n_samples < 1 raises `ValueError`."""
     if delta < 0 or mbar < 1:
         raise ValueError(f"need delta >= 0 and mbar >= 1, got {delta} and {mbar}")
-    probs = np.array(schedule.as_floats())
-    c = schedule.c
-    n = np.ones(n_samples)
-    t = np.zeros(n_samples)
-    u = np.zeros(n_samples)
-    depth = np.zeros(n_samples, dtype=np.int64)
-    sizes = np.full(n_samples, delta, dtype=np.int64)
-    owner = np.arange(n_samples)
-    t_active = np.ones(n_samples, dtype=bool)
-    level = 0
+    if n_samples < 1:
+        raise ValueError(f"need n_samples >= 1, got {n_samples}")
+    probs, c = np.array(schedule.as_floats()), schedule.c
+    n, depth = np.ones(n_samples), np.zeros(n_samples)
+    if delta <= mbar:
+        return {"n": n, "t": n.copy(), "u": n.copy(), "depth": depth}
+    t, u, level = np.zeros(n_samples), np.zeros(n_samples), 0
+    # a level's splitting nodes: size and owning tree (ascending)
+    sizes, owner = np.full(n_samples, delta), np.arange(n_samples)
     while sizes.size:
-        leaf = sizes <= mbar
-        tl = leaf & t_active
-        np.add.at(t, owner[tl], 1.0)
-        np.add.at(u, owner[tl], 1.0)
-        split = ~leaf
-        if not split.any():
-            break
-        so = owner[split]
-        ss = sizes[split]
-        st = t_active[split]
-        np.add.at(n, so, float(c))
-        np.maximum.at(depth, so, level + 1)
-        counts = rng.multinomial(ss, probs)
-        h = (counts.cumsum(axis=1) >= (ss - mbar)[:, None]).argmax(axis=1) + 1
-        contrib_t = (h < c).astype(float)
-        np.add.at(t, so[st], contrib_t[st])
-        np.add.at(u, so[st], (contrib_t + h - (h == c))[st])
-        child_sizes = counts.reshape(-1)
-        child_owner = np.repeat(so, c)
-        cols = np.tile(np.arange(c), len(ss))
-        child_active = np.repeat(st, c) & (cols < np.repeat(h, c))
-        keep = (child_sizes > mbar) | child_active
-        sizes = child_sizes[keep]
-        owner = child_owner[keep]
-        t_active = child_active[keep]
         level += 1
-    return {"n": n, "t": t, "u": u, "depth": depth.astype(float)}
+        parts = []
+        for lo in range(0, sizes.size, _MC_ROWS):
+            ss, so = sizes[lo:lo + _MC_ROWS], owner[lo:lo + _MC_ROWS]
+            counts = rng.multinomial(ss, probs)
+            h = 1 + sum(acc < ss - mbar for acc in accumulate(counts.T[:-1]))  # as in h_index
+            depth[so] = level
+            split = counts > mbar
+            row = np.flatnonzero(split) // c
+            parts.append((counts[split], so[row]))
+            # Sums over the owners' span.  Children past h hold at most mbar
+            # in all, so every splitting node is t-active: it adds 1{h<c}, to
+            # u also h - 1{h=c}, and its first h children less the kept ones.
+            trees, ix = slice(so[0], so[-1] + 1), so - so[0]
+            n[trees] += c * np.bincount(ix)
+            add_t = np.bincount(ix, h + (h < c)) - np.bincount(ix[row], minlength=ix[-1] + 1)
+            t[trees] += add_t
+            u[trees] += add_t + np.bincount(ix, h - (h == c))
+        sizes, owner = (np.concatenate(p) for p in zip(*parts))
+    return {"n": n, "t": t, "u": u, "depth": depth}
 
 
 # ---------------------------------------------------------------------------

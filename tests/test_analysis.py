@@ -1,5 +1,7 @@
+import hashlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +169,58 @@ def test_samplers_refuse_negative_delta_and_mbar_below_one():
             an.mc_sample_batch(delta, mbar, fair_probs(2), 10, rng)
         with pytest.raises(ValueError, match=f"got {delta} and {mbar}"):
             sample_placement_tree(delta, mbar, fair_probs(2), rng)
+    # 0 trees gave empty arrays with NaN means; fewer raised numpy's own error
+    for n_samples in (0, -2):
+        with pytest.raises(ValueError, match=f"n_samples >= 1, got {n_samples}"):
+            an.mc_sample_batch(40, 4, fair_probs(2), n_samples, rng)
+
+
+_VERIFICATION = schedule_from_strings(("0.15", "0.1", "0.25", "0.2", "0.3"))
+_MC_SCHEDULES = (fair_probs(2), round_optimal_probs(4), _VERIFICATION)
+
+# sha256 of n, t, u and depth over the grid below, all drawn in order from
+# one generator, so every draw and the stream across calls are pinned.
+# Recorded when every child, leaves included, passed to the next level.
+MC_BATCH_DIGEST = "0ce4d5be23894bdd827e7285ff2d31f1d8325d6da16e4bba53a6738fc35b9d99"
+
+
+def _mc_draws(deltas, sample_counts, mbar=33):
+    rng = np.random.default_rng(2626)
+    return [an.mc_sample_batch(delta, mbar, sched, n_samples, rng)
+            for sched in _MC_SCHEDULES for delta in deltas for n_samples in sample_counts]
+
+
+def test_mc_batch_digest():
+    digest = hashlib.sha256()
+    for draws in _mc_draws((0, 33, 34, 400, 1600), (1, 7, 3000)):
+        for key in ("n", "t", "u", "depth"):
+            digest.update(draws[key].tobytes())
+    assert digest.hexdigest() == MC_BATCH_DIGEST
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+def test_mc_batch_row_blocks_draw_as_one_call(monkeypatch, rows):
+    grid = ((34, 400), (1, 7, 200))
+    want = _mc_draws(*grid)
+    monkeypatch.setattr(an, "_MC_ROWS", rows)
+    for got, ref in zip(_mc_draws(*grid), want, strict=True):
+        for key in ("n", "t", "u", "depth"):
+            assert np.array_equal(got[key], ref[key]), key
+
+
+def test_mc_batch_memory_is_bounded():
+    # model-sweep's batch: 51 MB (10^6 bytes) when every child, leaves
+    # included, passed to the next level, about 10 MB when only splitting
+    # nodes do; numpy reports its buffers to tracemalloc
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        an.mc_sample_batch(1600, 33, _VERIFICATION, 10_000, np.random.default_rng(7))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6, peak
 
 
 def test_mc_batch_matches_single_sampler():
